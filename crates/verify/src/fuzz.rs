@@ -2,9 +2,10 @@
 //! differential (serial-vs-parallel) tests.
 //!
 //! One fixed run per task family (node classification, link prediction,
-//! graph classification) plus seed-parameterised variants for the
-//! differential fuzzer. Every run goes through [`TrainSession`] in
-//! mg-eval, so a run is fully described by its [`Golden`]: summary
+//! graph classification, node clustering) and batch source (full-batch,
+//! sampled, streamed) plus seed-parameterised variants for the
+//! differential fuzzer. Every run goes through [`TrainSession`] (the
+//! streamed run through `sampled_epochs_streamed`) in mg-eval, so a run is fully described by its [`Golden`]: summary
 //! metrics plus the per-epoch loss/metric trace. The serial build's
 //! traces are checked in under `tests/goldens/`; the parallel build (and
 //! every pool width) must reproduce them bit for bit — that is PR 1's
@@ -12,12 +13,12 @@
 
 use crate::golden::Golden;
 use mg_data::{
-    make_graph_dataset, make_node_dataset, GraphDatasetKind, GraphGenConfig, NodeDatasetKind,
-    NodeGenConfig,
+    make_graph_dataset, make_node_dataset, BigGraph, BigGraphConfig, GraphDatasetKind,
+    GraphGenConfig, NodeDatasetKind, NodeGenConfig,
 };
 use mg_eval::{
-    build_contexts, GraphModelKind, MinibatchConfig, NodeModelKind, SessionInput, SessionKind,
-    TrainConfig, TrainSession, TrainTrace,
+    build_contexts, sampled_epochs_streamed, GraphModelKind, MinibatchConfig, NodeModelKind,
+    SessionInput, SessionKind, TrainConfig, TrainSession, TrainTrace,
 };
 use std::path::PathBuf;
 
@@ -72,13 +73,19 @@ pub fn node_cls_run(variant: u64) -> Golden {
     )
 }
 
+/// The sampler settings of the sampled verification runs.
+fn verify_minibatch() -> MinibatchConfig {
+    MinibatchConfig {
+        batch_size: 32,
+        fanouts: vec![8, 8],
+    }
+}
+
 /// The seeded *sampled-minibatch* node-classification run: the same
 /// fixture as [`node_cls_run`] trained through ego-subgraph minibatches
-/// (`TrainSession::minibatch`). Not pinned by a checked-in golden —
-/// sampled batch composition is a new RNG consumer, so the full-batch
-/// goldens say nothing about it — but the differential suite holds it to
-/// the same determinism contract: bitwise repeatable within a build and
-/// across parallel pool widths.
+/// (`TrainSession::minibatch`). Sampled batch composition is its own RNG
+/// consumer, so this run has a golden of its own; the differential suite
+/// also holds it bitwise repeatable within a build.
 pub fn sampled_node_cls_run(variant: u64) -> Golden {
     let ds = make_node_dataset(
         NodeDatasetKind::Cora,
@@ -92,10 +99,7 @@ pub fn sampled_node_cls_run(variant: u64) -> Golden {
         SessionKind::NodeClassification(NodeModelKind::AdamGnn),
         &verify_cfg(1 + variant, 8),
     )
-    .minibatch(MinibatchConfig {
-        batch_size: 32,
-        fanouts: vec![8, 8],
-    })
+    .minibatch(verify_minibatch())
     .run(&ds)
     .expect("sampled node classification failed");
     Golden::new(
@@ -134,6 +138,96 @@ pub fn link_pred_run(variant: u64) -> Golden {
             ("epochs_run".into(), res.epochs_run as f64),
         ],
         res.trace,
+    )
+}
+
+/// The seeded *sampled-minibatch* link-prediction run: the fixture of
+/// [`link_pred_run`] trained through ego-subgraph minibatches of
+/// training edges.
+pub fn sampled_link_pred_run(variant: u64) -> Golden {
+    let ds = make_node_dataset(
+        NodeDatasetKind::Emails,
+        &NodeGenConfig {
+            scale: 0.05,
+            max_feat_dim: 32,
+            seed: 23 + variant,
+        },
+    );
+    let res = TrainSession::new(
+        SessionKind::LinkPrediction(NodeModelKind::AdamGnn),
+        &verify_cfg(2 + variant, 6),
+    )
+    .minibatch(verify_minibatch())
+    .run(&ds)
+    .expect("sampled link prediction failed");
+    Golden::new(
+        format!("sampled_link_pred_adamgnn_v{variant}"),
+        vec![
+            ("test_metric".into(), res.test_metric),
+            ("val_metric".into(), res.val_metric.unwrap_or(f64::NAN)),
+            ("epochs_run".into(), res.epochs_run as f64),
+        ],
+        res.trace,
+    )
+}
+
+/// The seeded node-clustering run (AdamGNN embeddings, k-means, NMI).
+/// Its trace rows carry `val = NaN`: clustering has no validation split.
+pub fn node_clustering_run(variant: u64) -> Golden {
+    let ds = make_node_dataset(
+        NodeDatasetKind::Emails,
+        &NodeGenConfig {
+            scale: 0.05,
+            max_feat_dim: 32,
+            seed: 31 + variant,
+        },
+    );
+    let res = TrainSession::new(
+        SessionKind::NodeClustering(NodeModelKind::AdamGnn),
+        &verify_cfg(4 + variant, 6),
+    )
+    .run(&ds)
+    .expect("node clustering failed");
+    Golden::new(
+        format!("node_clustering_adamgnn_v{variant}"),
+        vec![
+            ("test_metric".into(), res.test_metric),
+            ("epochs_run".into(), res.epochs_run as f64),
+        ],
+        res.trace,
+    )
+}
+
+/// The seeded streamed run: sampled AdamGNN node classification straight
+/// over a 5,000-node [`BigGraph`] through `sampled_epochs_streamed`. The
+/// streamed path keeps no per-epoch trace, so the golden pins its summary
+/// and leaves the trace empty.
+pub fn streamed_run(variant: u64) -> Golden {
+    let big = BigGraph::generate(&BigGraphConfig {
+        n: 5000,
+        classes: 5,
+        avg_degree: 8,
+        feat_dim: 20,
+        seed: 3 + variant,
+        byte_budget: 8 << 20,
+    });
+    let out = sampled_epochs_streamed(
+        &big,
+        NodeModelKind::AdamGnn,
+        &verify_cfg(5 + variant, 2),
+        &verify_minibatch(),
+        96,
+    )
+    .expect("streamed training failed");
+    Golden::new(
+        format!("streamed_adamgnn_v{variant}"),
+        vec![
+            ("mean_loss".into(), out.mean_loss),
+            ("steps".into(), out.steps as f64),
+            ("sampled_nodes".into(), out.sampled_nodes as f64),
+            ("truncated".into(), out.truncated as f64),
+        ],
+        TrainTrace::new(),
     )
 }
 

@@ -27,7 +27,7 @@ pub mod metamorphic;
 pub use fuzz::with_threads;
 pub use fuzz::{
     assert_traces_bitwise, goldens_dir, graph_cls_run, link_pred_run, node_cls_run,
-    sampled_node_cls_run, verify_cfg,
+    node_clustering_run, sampled_link_pred_run, sampled_node_cls_run, streamed_run, verify_cfg,
 };
 pub use golden::{check_against_file, unified_diff, Compare, Golden};
 pub use gradaudit::{audit_node_model, AuditConfig, AuditReport};

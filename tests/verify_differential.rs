@@ -45,9 +45,8 @@ fn reruns_are_bitwise_repeatable() {
 /// The sampled-minibatch leg of the same contract: batch composition,
 /// fanout truncation and subgraph construction all draw from the seeded
 /// RNG stream, so a sampled run is just as much a pure function of its
-/// seeds as a full-batch one. There is no checked-in golden (sampling is
-/// a new RNG consumer, deliberately not pinned to the full-batch
-/// traces), so the checks are within-build.
+/// seeds as a full-batch one. The run's checked-in golden lives in the
+/// golden suite; this check is within-build.
 #[test]
 fn sampled_reruns_are_bitwise_repeatable() {
     assert_identical(

@@ -1,7 +1,8 @@
 //! Pillar 3: golden-trace regression.
 //!
-//! One seeded training run per task family, each pinned as a checked-in
-//! per-epoch trace under `tests/goldens/`. The comparison is bitwise —
+//! One seeded training run per task family and batch source (full-batch,
+//! sampled, streamed), each pinned as a checked-in per-epoch trace or
+//! summary under `tests/goldens/`. The comparison is bitwise —
 //! the IEEE-754 bits in the golden are authoritative — so any change to
 //! the numerics, however small, surfaces here with a unified diff of the
 //! stored trace. Intentional changes are accepted by regenerating:
@@ -24,7 +25,9 @@
 #![cfg(not(feature = "fast-kernels"))]
 
 use mg_verify::{
-    check_against_file, goldens_dir, graph_cls_run, link_pred_run, node_cls_run, Compare, Golden,
+    check_against_file, goldens_dir, graph_cls_run, link_pred_run, node_cls_run,
+    node_clustering_run, sampled_link_pred_run, sampled_node_cls_run, streamed_run, Compare,
+    Golden,
 };
 
 fn check(actual: Golden) {
@@ -47,4 +50,24 @@ fn link_prediction_trace_matches_golden() {
 #[test]
 fn graph_classification_trace_matches_golden() {
     check(graph_cls_run(0));
+}
+
+#[test]
+fn sampled_node_classification_trace_matches_golden() {
+    check(sampled_node_cls_run(0));
+}
+
+#[test]
+fn sampled_link_prediction_trace_matches_golden() {
+    check(sampled_link_pred_run(0));
+}
+
+#[test]
+fn node_clustering_trace_matches_golden() {
+    check(node_clustering_run(0));
+}
+
+#[test]
+fn streamed_summary_matches_golden() {
+    check(streamed_run(0));
 }
