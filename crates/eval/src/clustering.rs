@@ -3,21 +3,11 @@
 //! AdamGNN's KL self-optimisation), clustered with k-means, and scored by
 //! normalised mutual information against the ground-truth classes.
 
-use crate::models::NodeModelKind;
-use crate::node_tasks::{run_meta, TrainConfig};
-use crate::session::{self, CkptHooks};
-use crate::telemetry;
-use crate::trace::TrainTrace;
-use adamgnn_core::kl_loss;
-use mg_ckpt::{CkptMeta, TrainState};
-use mg_data::{sample_non_edges, NodeDataset};
+use mg_data::sample_non_edges;
 use mg_graph::Topology;
-use mg_nn::GraphCtx;
-use mg_obs::{Stopwatch, Trace};
-use mg_tensor::{AdamConfig, Matrix, MgError, ParamStore, Tape};
+use mg_tensor::{Matrix, MgError};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::rc::Rc;
+use rand::RngExt;
 
 /// Lloyd's k-means with k-means++-style farthest-first seeding; returns
 /// the cluster id per row.
@@ -127,13 +117,8 @@ pub type PairBatch = (Vec<(usize, usize)>, Vec<f64>);
 
 /// Positives plus an equal number of freshly sampled non-edge negatives
 /// with their BCE labels — the supervision of one unsupervised epoch.
-///
-/// Delegates to [`mg_data::sample_non_edges`], so the batch is always
-/// class-balanced (`pairs.len() == 2 * pos.len()`) or the sampler
-/// reports [`MgError::TooDense`] on graphs with too few non-edges. The
-/// trainer previously re-rolled its own bounded rejection loop here,
-/// which on dense graphs silently produced fewer negatives than
-/// positives and skewed the BCE labels.
+/// Always class-balanced (`pairs.len() == 2 * pos.len()`), or
+/// [`MgError::TooDense`] on graphs with too few non-edges.
 pub fn bce_pair_batch(
     g: &Topology,
     pos: &[(usize, usize)],
@@ -147,149 +132,12 @@ pub fn bce_pair_batch(
     Ok((pairs, labels))
 }
 
-/// The clustering trainer behind [`crate::TrainSession`]: trains
-/// embeddings unsupervised (reconstruction BCE + γ·KL for AdamGNN),
-/// clusters with k-means and returns NMI against the class labels. It
-/// also reports a per-epoch loss trace whose rows carry `val = NaN`
-/// (the unsupervised loop has no validation metric).
-pub(crate) fn node_clustering_session(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(f64, TrainTrace), MgError> {
-    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        cfg.hidden,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let pos: Vec<(usize, usize)> = ds
-        .graph
-        .edges()
-        .iter()
-        .map(|&(u, v)| (u as usize, v as usize))
-        .collect();
-
-    let meta = CkptMeta {
-        task: "node_clustering".into(),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: cfg.hidden,
-        n_nodes: ds.n(),
-    };
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        start_epoch = ck.state.next_epoch;
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("node_clustering");
-    obs.run_start(&run_meta(kind, ds, cfg));
-    for epoch in start_epoch..cfg.epochs {
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (h, internals) = model.forward(&tape, &bind, &ctx, true, &mut rng);
-        let (pairs, labels) = bce_pair_batch(&ds.graph, &pos, &mut rng)?;
-        let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
-        let mut kl_term = None;
-        let mut loss = match &internals {
-            Some(out) if cfg.weights.gamma != 0.0 => {
-                let kl = kl_loss(&tape, out.h, &out.egos_l1);
-                kl_term = Some(kl);
-                tape.add(task, tape.scale(kl, cfg.weights.gamma))
-            }
-            _ => task,
-        };
-        // operator-specific auxiliary term (None for the default
-        // operator, keeping the historical composition unchanged)
-        if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-            loss = tape.add(loss, aux);
-        }
-        let loss_value = tape.value(loss).scalar();
-        let mut grads = tape.backward(loss);
-        let step_obs = obs.enabled().then(|| {
-            // the reconstruction BCE *is* the task term for clustering
-            telemetry::collect_step(
-                &tape,
-                &store,
-                &bind,
-                &grads,
-                telemetry::LossTerms {
-                    task: Some(task),
-                    kl: kl_term,
-                    recon: Some(task),
-                },
-                internals.as_ref(),
-            )
-        });
-        store.step(&mut grads, &bind, &adam);
-        trace.push(epoch, loss_value, f64::NAN);
-        if let Some(s) = step_obs {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: loss_value,
-                loss_task: s.loss_task,
-                loss_kl: s.loss_kl,
-                loss_recon: s.loss_recon,
-                val_metric: None,
-                train_ns: sw.elapsed_ns(),
-                eval_ns: 0,
-                grad_norms: s.grad_norms,
-                beta: s.beta,
-                level_sizes: s.level_sizes,
-                peak_tape_bytes: s.peak_tape_bytes,
-            });
-        }
-        if hooks.due(epoch + 1, epoch + 1 == cfg.epochs) {
-            // no validation split: the best-checkpoint fields stay at
-            // their pre-first-epoch sentinels.
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run: epoch + 1,
-                    best_val: f64::NEG_INFINITY,
-                    best_test: 0.0,
-                    bad_epochs: 0,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                model.record_structure(&store, &ctx),
-            )?;
-        }
-    }
-    let tape = Tape::new();
-    let bind = store.bind(&tape);
-    let (h, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-    let emb = tape.value_cloned(h);
-    let clusters = kmeans(&emb, ds.num_classes, 50, &mut rng);
-    let score = nmi(&clusters, &ds.labels);
-    obs.kernel_stats();
-    obs.run_end(cfg.epochs, None, Some(score));
-    Ok((score, trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NodeModelKind, TrainConfig};
     use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
+    use rand::SeedableRng;
 
     #[test]
     fn kmeans_separates_obvious_clusters() {

@@ -1,31 +1,18 @@
-//! Trainer for graph classification (Table 1's task), following the
-//! paper's protocol: 80/10/10 graph split, mini-batch training, accuracy
-//! at the best-validation checkpoint.
+//! Graph classification (Table 1's task) under the paper's protocol:
+//! 80/10/10 graph split, shuffled mini-batches of graphs, accuracy at the
+//! best-validation epoch.
 
-use crate::metrics::mean_std;
 use crate::models::GraphModelKind;
 use crate::node_tasks::TrainConfig;
-use crate::session::{self, CkptHooks};
-use crate::telemetry;
-use crate::trace::TrainTrace;
-use mg_ckpt::{CkptMeta, TrainState};
+use crate::session::RunOutcome;
+use crate::telemetry::LossTerms;
+use crate::trainer::{train, CkptHooks, Job, Shuffled, Step, StepResult, Task};
+use mg_ckpt::CkptMeta;
 use mg_data::{GraphDataset, Split};
 use mg_nn::{GraphClassifier, GraphCtx};
-use mg_obs::{RunMeta, Stopwatch, Trace};
-use mg_tensor::{AdamConfig, MgError, ParamStore, Tape};
+use mg_tensor::{Binding, MgError, ParamStore, Tape};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::rc::Rc;
-use std::time::Instant;
-
-/// Result of one graph-classification run.
-#[derive(Clone, Copy, Debug)]
-pub struct GcRunResult {
-    pub test_accuracy: f64,
-    pub val_accuracy: f64,
-    /// Mean wall-clock seconds per training epoch (Table 4's metric).
-    pub epoch_seconds: f64,
-}
 
 /// Pre-build per-graph contexts once (adjacency normalisations are
 /// gradient-free and reusable across epochs).
@@ -36,23 +23,15 @@ pub fn build_contexts(ds: &GraphDataset) -> Vec<(GraphCtx, usize)> {
         .collect()
 }
 
-/// The graph-classification trainer behind [`crate::TrainSession`]
-/// (epoch loss = mean over mini-batches of the batch-mean loss). Also
-/// returns the number of epochs actually run.
-pub(crate) fn graph_classification_session(
+/// Graph classification on `contexts`, 32 graphs per step. Graph-level
+/// pooling is derived per input graph, so checkpoints pin no structure.
+pub(crate) fn graph_classification(
     kind: GraphModelKind,
     contexts: &[(GraphCtx, usize)],
     feat_dim: usize,
     cfg: &TrainConfig,
     hooks: &CkptHooks<'_>,
-) -> Result<(GcRunResult, TrainTrace, usize), MgError> {
-    let split = Split::random_80_10_10(contexts.len(), cfg.seed ^ 0x9c9c)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(&mut store, feat_dim, cfg.hidden, 2, cfg, &mut rng);
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let batch = 32usize;
-
+) -> Result<RunOutcome, MgError> {
     let meta = CkptMeta {
         task: "graph_classification".into(),
         model: kind.name().into(),
@@ -61,179 +40,76 @@ pub(crate) fn graph_classification_session(
         out_dim: 2,
         n_nodes: 0,
     };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epoch_times = Vec::new();
-    let mut trace = TrainTrace::new();
-    let mut epochs_run = 0;
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-        epoch_times = ck.epoch_times.clone();
-    }
-
-    let mut obs = Trace::from_env("graph_classification");
-    obs.run_start(&RunMeta {
-        model: kind.name().to_string(),
-        dataset: format!("{}_graphs", contexts.len()),
-        n_nodes: contexts.iter().map(|(c, _)| c.graph.n()).sum(),
-        n_edges: contexts.iter().map(|(c, _)| c.graph.num_edges()).sum(),
-        seed: cfg.seed,
-        epochs: cfg.epochs,
-        hidden: cfg.hidden,
-        levels: cfg.levels,
-        gamma: cfg.weights.gamma,
-        delta: cfg.weights.delta,
-        pooling: cfg.pooling.name().to_string(),
-    });
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let started = Instant::now();
-        // shuffle training order
-        let mut order = split.train.clone();
-        for i in (1..order.len()).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
-        }
-        let mut batch_losses = Vec::new();
-        let mut last_grad_norms = Vec::new();
-        let mut epoch_peak_tape_bytes = 0u64;
-        for chunk in order.chunks(batch) {
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let mut losses = Vec::with_capacity(chunk.len());
-            for &gi in chunk {
-                let (ctx, label) = &contexts[gi];
-                let out = model.forward(&tape, &bind, ctx, true, &mut rng);
-                let ce = tape.cross_entropy(out.logits, Rc::new(vec![*label]), Rc::new(vec![0]));
-                losses.push(match out.aux_loss {
-                    Some(aux) => tape.add(ce, aux),
-                    None => ce,
-                });
-            }
-            let mut sum = losses[0];
-            for &l in &losses[1..] {
-                sum = tape.add(sum, l);
-            }
-            let loss = tape.scale(sum, 1.0 / losses.len() as f64);
-            batch_losses.push(tape.value(loss).scalar());
-            let mut grads = tape.backward(loss);
-            if obs.enabled() {
-                last_grad_norms = telemetry::grad_norms(&store, &bind, &grads);
-                epoch_peak_tape_bytes = epoch_peak_tape_bytes.max(tape.peak_tape_bytes() as u64);
-            }
-            store.step(&mut grads, &bind, &adam);
-        }
-        epoch_times.push(started.elapsed().as_secs_f64());
-        let sw = Stopwatch::start();
-        let val = eval_accuracy(model.as_ref(), &store, contexts, &split.val, &mut rng);
-        let eval_ns = sw.elapsed_ns();
-        let epoch_loss = batch_losses.iter().sum::<f64>() / batch_losses.len().max(1) as f64;
-        trace.push(epoch, epoch_loss, val);
-        if obs.enabled() {
-            // mini-batch trainer: loss terms are not decomposed (the GC
-            // objective is CE + model-internal aux), grad norms come
-            // from the final batch of the epoch.
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: epoch_loss,
-                loss_task: None,
-                loss_kl: None,
-                loss_recon: None,
-                val_metric: Some(val),
-                train_ns: (epoch_times.last().copied().unwrap_or(0.0) * 1e9) as u64,
-                eval_ns,
-                grad_norms: std::mem::take(&mut last_grad_norms),
-                beta: None,
-                level_sizes: Vec::new(),
-                peak_tape_bytes: epoch_peak_tape_bytes,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = eval_accuracy(model.as_ref(), &store, contexts, &split.test, &mut rng);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            // graph-level pooling is derived per input graph, so there
-            // is no persistent structure to pin: structure = None.
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &epoch_times,
-                None,
-            )?;
-        }
-        if stop {
-            break;
-        }
-    }
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    let (epoch_seconds, _) = mean_std(&epoch_times);
-    Ok((
-        GcRunResult {
-            test_accuracy: best_test,
-            val_accuracy: best_val,
-            epoch_seconds,
-        },
-        trace,
-        epochs_run,
-    ))
+    let n = contexts.iter().map(|(c, _)| c.graph.n()).sum();
+    let m = contexts.iter().map(|(c, _)| c.graph.num_edges()).sum();
+    let job = Job::new("graph_classification", meta, n, m, cfg);
+    let (outcome, _) = train(&job, cfg, hooks, |store, rng| {
+        let split = Split::random_80_10_10(contexts.len(), cfg.seed ^ 0x9c9c)?;
+        let model = kind.build(store, feat_dim, cfg.hidden, 2, cfg, rng);
+        let graphs = Shuffled::new(split.train.clone(), 32);
+        Ok(Box::new(Graphs {
+            model,
+            contexts,
+            split,
+            graphs,
+        }))
+    })?;
+    Ok(outcome)
 }
 
-fn eval_accuracy(
-    model: &dyn GraphClassifier,
-    store: &ParamStore,
-    contexts: &[(GraphCtx, usize)],
-    idx: &[usize],
-    rng: &mut StdRng,
-) -> f64 {
-    if idx.is_empty() {
-        return 0.0;
+struct Graphs<'a> {
+    model: Box<dyn GraphClassifier>,
+    contexts: &'a [(GraphCtx, usize)],
+    split: Split,
+    graphs: Shuffled<usize>,
+}
+
+impl Graphs<'_> {
+    fn accuracy(&self, store: &ParamStore, idx: &[usize], rng: &mut StdRng) -> f64 {
+        let correct = (idx.iter())
+            .filter(|&&gi| {
+                let (ctx, label) = &self.contexts[gi];
+                let tape = Tape::new();
+                let out = self
+                    .model
+                    .forward(&tape, &store.bind(&tape), ctx, false, rng);
+                let hit = tape.value(out.logits).row_argmax(0) == *label;
+                hit
+            })
+            .count();
+        correct as f64 / idx.len().max(1) as f64
     }
-    let mut correct = 0;
-    for &gi in idx {
-        let (ctx, label) = &contexts[gi];
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let out = model.forward(&tape, &bind, ctx, false, rng);
-        if tape.value(out.logits).row_argmax(0) == *label {
-            correct += 1;
+}
+
+impl Task for Graphs<'_> {
+    fn begin_epoch(&mut self, rng: &mut StdRng) -> usize {
+        self.graphs.begin_epoch(rng)
+    }
+
+    /// The batch mean of each graph's cross-entropy plus the model's
+    /// auxiliary term; not decomposed further.
+    fn step(&mut self, i: usize, tape: &Tape, bind: &Binding, rng: &mut StdRng) -> StepResult {
+        let mut losses = Vec::new();
+        for &gi in self.graphs.get(i) {
+            let (ctx, label) = &self.contexts[gi];
+            let out = self.model.forward(tape, bind, ctx, true, rng);
+            let ce = tape.cross_entropy(out.logits, Rc::new(vec![*label]), Rc::new(vec![0]));
+            losses.push(out.aux_loss.map_or(ce, |aux| tape.add(ce, aux)));
         }
+        let n = losses.len() as f64;
+        let sum = losses.into_iter().reduce(|a, b| tape.add(a, b));
+        let sum = sum.expect("every step holds at least one graph");
+        let loss = tape.scale(sum, 1.0 / n);
+        Ok(Step::new(tape, loss, LossTerms::default(), None))
     }
-    correct as f64 / idx.len() as f64
+
+    fn validate(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        self.accuracy(store, &self.split.val, rng)
+    }
+
+    fn test(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        self.accuracy(store, &self.split.test, rng)
+    }
 }
 
 #[cfg(test)]

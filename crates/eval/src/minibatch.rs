@@ -1,40 +1,23 @@
-//! Sampled ego-subgraph minibatch trainers for the node-level tasks.
-//!
-//! Each optimizer step draws a batch of seed nodes (NC) or training
-//! edges (LP), expands a fanout-bounded neighborhood with
-//! [`mg_data::NeighborSampler`], gathers the sampled nodes' features
-//! into a small dense matrix, and runs the full model — including
-//! AdamGNN's fitness→pooling→flyback stack — on the induced subgraph.
-//! The loss is restricted to the seed rows, so backward naturally
-//! scatters gradients onto the *global* parameter matrices (AdamGNN has
-//! no per-node parameters; everything is weight matrices shared across
-//! nodes).
-//!
-//! Evaluation stays full-graph: validation/test metrics are computed by
-//! a whole-graph eval-mode forward on the same fixture, which keeps the
-//! minibatch numbers directly comparable to the full-batch trainers.
-//! The million-node path ([`sampled_epoch_streamed`]) never builds a
-//! full-graph context at all — it trains purely on sampled subgraphs
-//! over a [`NodeFeatureSource`].
-//!
-//! Sampling draws from the same `StdRng` stream as everything else in
-//! the epoch, so checkpoint/resume (which snapshots the RNG state at
-//! epoch boundaries) replays the exact seed shuffles, fanout choices and
-//! negative draws of an uninterrupted run.
+//! Sampled ego-subgraph minibatches for the node-level tasks: each step
+//! runs the full model on the subgraph [`NeighborSampler`] draws around
+//! its seed nodes (NC) or training edges (LP), with the loss on the seeds.
+//! Evaluation stays full-graph; the million-node path
+//! ([`sampled_epochs_streamed`]) builds no full-graph context at all.
 
-use crate::metrics::{accuracy, pair_scores, roc_auc};
-use crate::models::NodeModelKind;
-use crate::node_tasks::{run_meta, RunResult, TrainConfig};
-use crate::session::{self, CkptHooks};
-use crate::trace::TrainTrace;
-use adamgnn_core::{kl_loss, reconstruction_loss, total_loss};
-use mg_ckpt::{CkptMeta, TrainState};
-use mg_data::{LinkSplit, NeighborSampler, NodeDataset, NodeFeatureSource, SampledSubgraph, Split};
+use crate::models::{AnyNodeModel, NodeModelKind};
+use crate::node_tasks::TrainConfig;
+use crate::node_tasks::{classify_objective, link_objective, with_negatives, FullGraph, Goal};
+use crate::trainer::{train, CkptHooks, Job, Shuffled, StepResult, Task};
+use adamgnn_core::LossWeights;
+use mg_ckpt::CkptMeta;
+use mg_data::{NeighborSampler, NodeDataset, NodeFeatureSource, SampledSubgraph};
+use mg_graph::Topology;
 use mg_nn::GraphCtx;
-use mg_obs::{SampleStepRecord, Stopwatch, Trace};
-use mg_tensor::{AdamConfig, Matrix, MgError, ParamStore, Tape};
+use mg_tensor::{Binding, Matrix, MgError, ParamStore, Tape};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Sampled-minibatch options, attached to a session with
@@ -62,467 +45,176 @@ impl MinibatchConfig {
     /// full-batch checkpoint cannot silently resume a sampled run (or
     /// vice versa, or across different sampling configurations).
     pub(crate) fn task_tag(&self, base: &str) -> String {
-        let fans = self
-            .fanouts
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("-");
-        format!("{base}_minibatch/b{}/f{}", self.batch_size, fans)
+        let fans: Vec<String> = self.fanouts.iter().map(|f| f.to_string()).collect();
+        format!("{base}_minibatch/b{}/f{}", self.batch_size, fans.join("-"))
+    }
+
+    /// Reject a configuration that cannot form a batch.
+    pub(crate) fn check(&self) -> Result<(), MgError> {
+        if self.batch_size == 0 || self.fanouts.is_empty() {
+            let detail = "minibatch needs batch_size >= 1 and at least one fanout".into();
+            return Err(MgError::InvalidInput { detail });
+        }
+        Ok(())
     }
 }
 
-/// Deterministic in-place Fisher–Yates, drawing from the trainer RNG.
-fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.random_range(0..=i);
-        items.swap(i, j);
+/// Sample around `seeds` and gather the subgraph's features and labels
+/// into batch-local arrays (local row `l` is global node `sub.nodes[l]`).
+fn sample(
+    src: &dyn NodeFeatureSource,
+    graph: &Topology,
+    (sampler, fanouts): (&mut NeighborSampler, &[usize]),
+    seeds: &[usize],
+    rng: &mut StdRng,
+) -> (SampledSubgraph, GraphCtx, Vec<usize>) {
+    let sub = sampler.sample(graph, seeds, fanouts, rng);
+    let mut x = Matrix::zeros(sub.nodes.len(), src.feat_dim());
+    let labels = (sub.nodes.iter().enumerate())
+        .map(|(l, &g)| {
+            src.fill_features(g, x.row_mut(l));
+            src.label(g)
+        })
+        .collect();
+    let ctx = GraphCtx::new(sub.topo.clone(), x);
+    (sub, ctx, labels)
+}
+
+/// What a sampled step draws its seeds from.
+pub(crate) enum Batch<'a> {
+    /// Node classification: the training nodes, reshuffled every epoch.
+    Nodes(Shuffled<usize>),
+    /// Streamed node classification: `draws` nodes drawn uniformly from
+    /// `0..n` every epoch, `size` per step, each step's seeds drawn when
+    /// the step runs.
+    Uniform { n: usize, draws: usize, size: usize },
+    /// Link prediction: the training edges, reshuffled every epoch, whose
+    /// endpoints seed a sample of the `train` graph. Negatives must be
+    /// non-edges of the `full` graph.
+    Edges {
+        edges: Shuffled<(usize, usize)>,
+        train: Rc<Topology>,
+        full: &'a Topology,
+    },
+}
+
+impl<'a> Batch<'a> {
+    /// The batches of sampled training towards `eval`'s goal on `ds`.
+    pub fn of(eval: &FullGraph, ds: &'a NodeDataset, size: usize) -> Result<Self, MgError> {
+        Ok(match &eval.goal {
+            Goal::Classes { train, .. } => Batch::Nodes(Shuffled::new(train.to_vec(), size)),
+            Goal::Links(link) => Batch::Edges {
+                edges: Shuffled::new(link.train_pos.clone(), size),
+                train: eval.ctx.graph.clone(),
+                full: &ds.graph,
+            },
+            Goal::Clusters { .. } => {
+                let detail = "clustering's objective is defined on the full graph".into();
+                return Err(MgError::InvalidInput { detail });
+            }
+        })
     }
 }
 
-/// Gather the sampled nodes' feature rows and labels into batch-local
-/// arrays (row `l` of the matrix is global node `sub.nodes[l]`).
-fn gather_batch(src: &dyn NodeFeatureSource, sub: &SampledSubgraph) -> (Matrix, Vec<usize>) {
-    let d = src.feat_dim();
-    let k = sub.nodes.len();
-    let mut x = Matrix::zeros(k, d);
-    let mut labels = Vec::with_capacity(k);
-    for (l, &g) in sub.nodes.iter().enumerate() {
-        src.fill_features(g, x.row_mut(l));
-        labels.push(src.label(g));
-    }
-    (x, labels)
+/// Sampled training: each step trains on the ego-subgraph around its
+/// seeds, with the loss on the seed rows (NC) or the batch's pairs (LP).
+pub(crate) struct Sampled<'a> {
+    model: AnyNodeModel,
+    weights: LossWeights,
+    src: &'a dyn NodeFeatureSource,
+    sampler: NeighborSampler,
+    fanouts: &'a [usize],
+    batch: Batch<'a>,
+    /// Full-graph evaluation; `None` on the streamed path.
+    eval: Option<FullGraph>,
 }
 
-/// The sampled node-classification trainer behind
-/// `TrainSession::minibatch`. Splits, model construction and metric
-/// protocol are identical to the full-batch trainer; only the training
-/// forward runs on sampled subgraphs.
-pub(crate) fn node_classification_minibatch(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    mb: &MinibatchConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    if mb.batch_size == 0 || mb.fanouts.is_empty() {
-        return Err(MgError::InvalidInput {
-            detail: "minibatch needs batch_size >= 1 and at least one fanout".into(),
-        });
+impl<'a> Sampled<'a> {
+    pub fn new(
+        model: AnyNodeModel,
+        cfg: &TrainConfig,
+        src: &'a dyn NodeFeatureSource,
+        mb: &'a MinibatchConfig,
+        batch: Batch<'a>,
+        eval: Option<FullGraph>,
+    ) -> Self {
+        Sampled {
+            model,
+            weights: cfg.weights,
+            src,
+            sampler: NeighborSampler::new(src.n()),
+            fanouts: &mb.fanouts,
+            batch,
+            eval,
+        }
     }
-    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
-    let split = Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        ds.num_classes,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(ds.n());
+}
 
-    let meta = CkptMeta {
-        task: mb.task_tag("node_classification"),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: ds.num_classes,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
+impl Task for Sampled<'_> {
+    fn begin_epoch(&mut self, rng: &mut StdRng) -> usize {
+        match &mut self.batch {
+            Batch::Nodes(nodes) => nodes.begin_epoch(rng),
+            Batch::Uniform { draws, size, .. } => draws.div_ceil(*size),
+            Batch::Edges { edges, .. } => edges.begin_epoch(rng),
+        }
+    }
+
+    fn step(&mut self, i: usize, tape: &Tape, bind: &Binding, rng: &mut StdRng) -> StepResult {
+        let (src, how, w) = (self.src, (&mut self.sampler, self.fanouts), &self.weights);
+        let seeds = match &self.batch {
+            Batch::Nodes(nodes) => Cow::Borrowed(nodes.get(i)),
+            Batch::Uniform { n, draws, size } => {
+                let take = (*size).min(draws - i * size);
+                Cow::Owned((0..take).map(|_| rng.random_range(0..*n)).collect())
+            }
+            Batch::Edges { edges, train, full } => {
+                let batch = edges.get(i);
+                let seeds: Vec<usize> = batch.iter().flat_map(|&(u, v)| [u, v]).collect();
+                let (sub, ctx, _) = sample(src, train, how, &seeds, rng);
+                let out = self.model.forward(tape, bind, &ctx, true, rng);
+                // endpoints are seeds, so they occupy the remap's prefix
+                let local: HashMap<usize, usize> =
+                    sub.seed_locals().map(|l| (sub.nodes[l], l)).collect();
+                let pos = batch.iter().map(|&(u, v)| (local[&u], local[&v])).collect();
+                let nodes = &sub.nodes;
+                let adjacent = |u: usize, v: usize| full.has_edge(nodes[u], nodes[v]);
+                let pairs = with_negatives(pos, 200, nodes.len(), rng, adjacent);
+                let mut step = link_objective(tape, out, pairs, w.gamma);
+                step.sub = Some(sub);
+                return Ok(step);
+            }
         };
-        trace = session::restored_trace(ck);
+        let (sub, ctx, labels) = sample(src, src.graph(), how, &seeds, rng);
+        let out = self.model.forward(tape, bind, &ctx, true, rng);
+        let (labels, rows) = (Rc::new(labels), Rc::new(sub.seed_locals().collect()));
+        let mut step = classify_objective(tape, out, labels, rows, &ctx.graph, w, rng);
+        step.sub = Some(sub);
+        Ok(step)
     }
 
-    let mut obs = Trace::from_env("node_classification");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        // shuffle a fresh clone so the epoch's batch order is a function
-        // of the RNG position alone — a resumed run (which restores the
-        // RNG but not the previous epoch's permutation) then replays the
-        // uninterrupted run's batches exactly
-        let mut order = split.train.clone();
-        shuffle(&mut order, &mut rng);
-        let mut loss_sum = 0.0;
-        let mut steps = 0usize;
-        let mut peak_tape = 0u64;
-        for (step, seeds) in order.chunks(mb.batch_size).enumerate() {
-            let sub = sampler.sample(&ds.graph, seeds, &mb.fanouts, &mut rng);
-            let (sub_x, sub_labels) = gather_batch(ds, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let seed_locals: Vec<usize> = sub.seed_locals().collect();
-            let task = tape.cross_entropy(logits, Rc::new(sub_labels), Rc::new(seed_locals));
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &sub_ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
-            peak_tape = peak_tape.max(tape.peak_tape_bytes() as u64);
-            if obs.enabled() {
-                obs.sample_step(&SampleStepRecord {
-                    epoch,
-                    step,
-                    seeds: sub.num_seeds,
-                    sampled_nodes: sub.nodes.len(),
-                    sampled_edges: sub.topo.num_edges(),
-                    truncated: sub.truncated,
-                    loss: loss_value,
-                });
-            }
-        }
-        let train_loss = loss_sum / steps.max(1) as f64;
-        let train_ns = sw.elapsed_ns();
-        // full-graph evaluation, as in the full-batch trainer
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (logits, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let lv = tape.value_cloned(logits);
-        let val = accuracy(&lv, &ds.labels, &split.val);
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if obs.enabled() {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: None,
-                loss_kl: None,
-                loss_recon: None,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: vec![],
-                beta: None,
-                level_sizes: vec![],
-                peak_tape_bytes: peak_tape,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = accuracy(&lv, &ds.labels, &split.test);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                // the pooling structure is per-subgraph and resampled
-                // every step; there is no single structure to pin
-                None,
-            )?;
-        }
-        if stop {
-            break;
-        }
+    fn validates(&self) -> bool {
+        self.eval.is_some()
     }
-    crate::maybe_dump_kernel_stats("node_classification");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+
+    fn validate(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        let model = &self.model;
+        self.eval
+            .as_mut()
+            .map_or(f64::NAN, |e| e.validate(model, store, rng))
+    }
+
+    fn test(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        let model = &self.model;
+        self.eval
+            .as_mut()
+            .map_or(f64::NAN, |e| e.test(model, store, rng))
+    }
 }
 
-/// The sampled link-prediction trainer: each step takes a batch of
-/// training edges, seeds the sampler with their endpoints, scores the
-/// batch's positive pairs plus an equal number of sampled non-edges
-/// inside the subgraph, and steps on the BCE (+ γ·KL for AdamGNN).
-pub(crate) fn link_prediction_minibatch(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    mb: &MinibatchConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    if mb.batch_size == 0 || mb.fanouts.is_empty() {
-        return Err(MgError::InvalidInput {
-            detail: "minibatch needs batch_size >= 1 and at least one fanout".into(),
-        });
-    }
-    let link = LinkSplit::new(&ds.graph, cfg.seed ^ 0x11bb)?;
-    let ctx = GraphCtx::new(link.train_graph.clone(), ds.features.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let embed_dim = cfg.hidden;
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        embed_dim,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(ds.n());
-
-    let meta = CkptMeta {
-        task: mb.task_tag("link_prediction"),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: embed_dim,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("link_prediction");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        // fresh clone per epoch: batch order must be a function of the
-        // RNG position alone so resume replays it (see the NC trainer)
-        let mut order = link.train_pos.clone();
-        shuffle(&mut order, &mut rng);
-        let mut loss_sum = 0.0;
-        let mut steps = 0usize;
-        let mut peak_tape = 0u64;
-        for (step, batch) in order.chunks(mb.batch_size).enumerate() {
-            let mut seeds = Vec::with_capacity(batch.len() * 2);
-            for &(u, v) in batch {
-                seeds.push(u);
-                seeds.push(v);
-            }
-            let sub = sampler.sample(&link.train_graph, &seeds, &mb.fanouts, &mut rng);
-            // endpoints are seeds, so they occupy the remap's prefix:
-            // recover each one's local id from the prefix positions
-            let mut local: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            for l in sub.seed_locals() {
-                local.insert(sub.nodes[l], l);
-            }
-            let (sub_x, _) = gather_batch(ds, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (h, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let mut pairs: Vec<(usize, usize)> =
-                batch.iter().map(|&(u, v)| (local[&u], local[&v])).collect();
-            let mut labels = vec![1.0; pairs.len()];
-            // negatives: random local pairs whose global endpoints are
-            // non-adjacent in the *full* graph (same criterion as the
-            // full-batch trainer)
-            let k = sub.nodes.len();
-            let mut added = 0;
-            let mut guard = 0;
-            while added < batch.len() && guard < 200 * batch.len() {
-                guard += 1;
-                let lu = rng.random_range(0..k);
-                let lv = rng.random_range(0..k);
-                if lu != lv && !ds.graph.has_edge(sub.nodes[lu], sub.nodes[lv]) {
-                    pairs.push((lu, lv));
-                    labels.push(0.0);
-                    added += 1;
-                }
-            }
-            let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
-            let mut loss = match &internals {
-                Some(out) if weights.gamma != 0.0 => {
-                    let kl = kl_loss(&tape, out.h, &out.egos_l1);
-                    tape.add(task, tape.scale(kl, weights.gamma))
-                }
-                _ => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
-            peak_tape = peak_tape.max(tape.peak_tape_bytes() as u64);
-            if obs.enabled() {
-                obs.sample_step(&SampleStepRecord {
-                    epoch,
-                    step,
-                    seeds: sub.num_seeds,
-                    sampled_nodes: sub.nodes.len(),
-                    sampled_edges: sub.topo.num_edges(),
-                    truncated: sub.truncated,
-                    loss: loss_value,
-                });
-            }
-        }
-        let train_loss = loss_sum / steps.max(1) as f64;
-        let train_ns = sw.elapsed_ns();
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (h, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let hv = tape.value_cloned(h);
-        let val = roc_auc(
-            &pair_scores(&hv, &link.val_pos),
-            &pair_scores(&hv, &link.val_neg),
-        );
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if obs.enabled() {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: None,
-                loss_kl: None,
-                loss_recon: None,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: vec![],
-                beta: None,
-                level_sizes: vec![],
-                peak_tape_bytes: peak_tape,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = roc_auc(
-                &pair_scores(&hv, &link.test_pos),
-                &pair_scores(&hv, &link.test_neg),
-            );
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                None,
-            )?;
-        }
-        if stop {
-            break;
-        }
-    }
-    crate::maybe_dump_kernel_stats("link_prediction");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
-}
-
-/// Result of one streamed sampled epoch over a [`NodeFeatureSource`].
+/// Result of streamed sampled training over a [`NodeFeatureSource`].
 #[derive(Clone, Copy, Debug)]
 pub struct StreamedEpoch {
-    /// Mean composite loss over the epoch's steps.
+    /// Mean composite loss over all steps.
     pub mean_loss: f64,
     /// Optimizer steps taken.
     pub steps: usize,
@@ -552,78 +244,23 @@ pub fn sampled_epochs_streamed(
         });
     }
     let n = src.n();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        src.feat_dim(),
-        cfg.hidden,
-        src.num_classes(),
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let mut sampler = NeighborSampler::new(n);
-    let mut loss_sum = 0.0;
-    let mut steps = 0usize;
-    let mut sampled_nodes = 0usize;
-    let mut truncated = 0usize;
-    for _ in 0..cfg.epochs {
-        let mut remaining = seeds_per_epoch;
-        while remaining > 0 {
-            let take = remaining.min(mb.batch_size);
-            remaining -= take;
-            let seeds: Vec<usize> = (0..take).map(|_| rng.random_range(0..n)).collect();
-            let sub = sampler.sample(src.graph(), &seeds, &mb.fanouts, &mut rng);
-            let (sub_x, sub_labels) = gather_batch(src, &sub);
-            let sub_ctx = GraphCtx::new(sub.topo.clone(), sub_x);
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &sub_ctx, true, &mut rng);
-            let seed_locals: Vec<usize> = sub.seed_locals().collect();
-            let task = tape.cross_entropy(logits, Rc::new(sub_labels), Rc::new(seed_locals));
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &sub_ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(Matrix::zeros(1, 1))
-                    };
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            if !loss_value.is_finite() {
-                return Err(MgError::InvalidInput {
-                    detail: format!("non-finite sampled loss at step {steps}; lower lr or fanouts"),
-                });
-            }
-            let mut grads = tape.backward(loss);
-            store.step(&mut grads, &bind, &adam);
-            loss_sum += loss_value;
-            steps += 1;
-            sampled_nodes += sub.nodes.len();
-            truncated += sub.truncated;
-        }
-    }
-    Ok(StreamedEpoch {
-        mean_loss: loss_sum / steps as f64,
-        steps,
-        sampled_nodes,
-        truncated,
-    })
+    let meta = CkptMeta {
+        task: mb.task_tag("streamed_node_classification"),
+        model: kind.name().into(),
+        dataset: "streamed".into(),
+        in_dim: src.feat_dim(),
+        out_dim: src.num_classes(),
+        n_nodes: n,
+    };
+    let job = Job::new("node_classification", meta, n, src.graph().num_edges(), cfg);
+    let (_, totals) = train(&job, cfg, &CkptHooks::default(), |store, rng| {
+        let (d, c) = (src.feat_dim(), src.num_classes());
+        let model = kind.build(store, d, cfg.hidden, c, cfg, rng);
+        let (draws, size) = (seeds_per_epoch, mb.batch_size);
+        let batch = Batch::Uniform { n, draws, size };
+        Ok(Box::new(Sampled::new(model, cfg, src, mb, batch, None)))
+    })?;
+    Ok(totals)
 }
 
 #[cfg(test)]

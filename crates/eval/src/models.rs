@@ -109,14 +109,6 @@ impl AnyNodeModel {
         }
     }
 
-    /// Display name.
-    pub fn name(&self) -> &str {
-        match self {
-            AnyNodeModel::Plain(m) => m.name(),
-            AnyNodeModel::Adam(_) => "AdamGNN",
-        }
-    }
-
     /// Record the pooling structure an eval-mode forward would build on
     /// `ctx`, for pinning into a checkpoint. Flat baselines have no
     /// structure. The recording pass draws nothing from the training RNG

@@ -1,41 +1,29 @@
-//! Trainers for the node-wise tasks: node classification (accuracy) and
-//! link prediction (ROC-AUC), following the paper's protocol (80/10/10
-//! splits, best-validation checkpointing, composite AdamGNN loss).
+//! The node-level tasks — node classification (accuracy), link
+//! prediction (ROC-AUC) and node clustering (NMI) — under the paper's
+//! protocol: 80/10/10 splits, best-validation selection and the composite
+//! AdamGNN loss. A [`FullGraph`] holds what a task trains for and how it
+//! is scored; it trains full-batch here ([`Whole`]) or on sampled
+//! ego-subgraphs ([`crate::minibatch::Sampled`]).
 
+use crate::clustering::{bce_pair_batch, kmeans, nmi, PairBatch};
 use crate::metrics::{accuracy, pair_scores, roc_auc};
-use crate::models::NodeModelKind;
-use crate::session::{self, CkptHooks};
-use crate::telemetry;
-use crate::trace::TrainTrace;
-use adamgnn_core::{kl_loss, reconstruction_loss, total_loss, LossWeights, PoolingKind};
-use mg_ckpt::{CkptMeta, TrainState};
+use crate::minibatch::{Batch, MinibatchConfig, Sampled};
+use crate::models::{AnyNodeModel, NodeModelKind};
+use crate::session::RunOutcome;
+use crate::telemetry::LossTerms;
+use crate::trainer::{train, CkptHooks, Job, Step, StepResult, Task};
+use adamgnn_core::{kl_loss, reconstruction_loss, total_loss, AdamGnnOutput, FrozenStructure};
+use adamgnn_core::{LossWeights, PoolingKind};
+use mg_ckpt::CkptMeta;
 use mg_data::{LinkSplit, NodeDataset, Split};
+use mg_graph::Topology;
 use mg_nn::GraphCtx;
-use mg_obs::{RunMeta, Stopwatch, Trace};
-use mg_tensor::{AdamConfig, MgError, ParamStore, Tape};
+use mg_tensor::{Binding, Matrix, MgError, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::rc::Rc;
 
-/// The `run_start` facts shared by the node-level trainers (including
-/// the clustering trainer in [`crate::clustering`]).
-pub(crate) fn run_meta(kind: NodeModelKind, ds: &NodeDataset, cfg: &TrainConfig) -> RunMeta {
-    RunMeta {
-        model: kind.name().to_string(),
-        dataset: ds.name.clone(),
-        n_nodes: ds.n(),
-        n_edges: ds.graph.num_edges(),
-        seed: cfg.seed,
-        epochs: cfg.epochs,
-        hidden: cfg.hidden,
-        levels: cfg.levels,
-        gamma: cfg.weights.gamma,
-        delta: cfg.weights.delta,
-        pooling: cfg.pooling.name().to_string(),
-    }
-}
-
-/// Training options shared by both node tasks.
+/// Training options shared by every task.
 #[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     pub epochs: usize,
@@ -71,405 +59,286 @@ impl Default for TrainConfig {
     }
 }
 
-/// Result of one training run.
-#[derive(Clone, Copy, Debug)]
-pub struct RunResult {
-    /// Test metric at the best-validation checkpoint.
-    pub test_metric: f64,
-    /// Best validation metric observed.
-    pub val_metric: f64,
-    /// Epochs actually run (early stopping may cut this short).
-    pub epochs_run: usize,
-}
-
-/// The node-classification trainer behind [`crate::TrainSession`]. With
-/// empty hooks this is the historical traced trainer, bit for bit.
-pub(crate) fn node_classification_session(
+/// Train `kind` on `ds` for `eval`'s goal: full-batch, or sampled when
+/// `mb` is set.
+pub(crate) fn node_task(
     kind: NodeModelKind,
     ds: &NodeDataset,
+    eval: FullGraph,
     cfg: &TrainConfig,
+    mb: Option<&MinibatchConfig>,
     hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
-    let split = Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        ds.num_classes,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
-    let targets = Rc::new(ds.labels.clone());
-    let train_nodes = Rc::new(split.train.clone());
-
+) -> Result<RunOutcome, MgError> {
+    let (name, out_dim) = match eval.goal {
+        Goal::Classes { .. } => ("node_classification", ds.num_classes),
+        Goal::Links(_) => ("link_prediction", cfg.hidden),
+        Goal::Clusters { .. } => ("node_clustering", cfg.hidden),
+    };
     let meta = CkptMeta {
-        task: "node_classification".into(),
+        task: mb.map_or(name.into(), |mb| mb.task_tag(name)),
         model: kind.name().into(),
         dataset: ds.name.clone(),
         in_dim: ds.feat_dim(),
-        out_dim: ds.num_classes,
+        out_dim,
         n_nodes: ds.n(),
     };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        // a checkpoint taken at the early stop must not train further
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
-    }
-
-    let mut obs = Trace::from_env("node_classification");
-    obs.run_start(&run_meta(kind, ds, cfg));
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        // train step
-        let sw = Stopwatch::start();
-        let (train_loss, step_obs) = {
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (logits, internals) = model.forward(&tape, &bind, &ctx, true, &mut rng);
-            let task = tape.cross_entropy(logits, targets.clone(), train_nodes.clone());
-            let mut kl_term = None;
-            let mut recon_term = None;
-            let mut loss = match &internals {
-                Some(out) => {
-                    let kl = if weights.gamma != 0.0 {
-                        kl_loss(&tape, out.h, &out.egos_l1)
-                    } else {
-                        tape.constant(mg_tensor::Matrix::zeros(1, 1))
-                    };
-                    let recon = if weights.delta != 0.0 {
-                        reconstruction_loss(&tape, out.h, &ctx.graph, &mut rng)
-                    } else {
-                        tape.constant(mg_tensor::Matrix::zeros(1, 1))
-                    };
-                    kl_term = Some(kl);
-                    recon_term = Some(recon);
-                    total_loss(&tape, task, kl, recon, &weights)
-                }
-                None => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
+    let job = Job::new(name, meta, ds.n(), ds.graph.num_edges(), cfg);
+    let (outcome, _) = train(&job, cfg, hooks, |store, rng| {
+        let model = kind.build(store, ds.feat_dim(), cfg.hidden, out_dim, cfg, rng);
+        let (weights, graph) = (cfg.weights, &ds.graph);
+        let task: Box<dyn Task> = match mb {
+            None => Box::new(Whole {
+                model,
+                weights,
+                graph,
+                eval,
+            }),
+            Some(mb) => {
+                let batch = Batch::of(&eval, ds, mb.batch_size)?;
+                Box::new(Sampled::new(model, cfg, ds, mb, batch, Some(eval)))
             }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            // telemetry reads gradients before the optimiser consumes them
-            let step_obs = obs.enabled().then(|| {
-                telemetry::collect_step(
-                    &tape,
-                    &store,
-                    &bind,
-                    &grads,
-                    telemetry::LossTerms {
-                        task: Some(task),
-                        kl: kl_term,
-                        recon: recon_term,
-                    },
-                    internals.as_ref(),
-                )
-            });
-            store.step(&mut grads, &bind, &adam);
-            (loss_value, step_obs)
         };
-        let train_ns = sw.elapsed_ns();
-        // evaluate
-        let sw = Stopwatch::start();
-        let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (logits, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let lv = tape.value_cloned(logits);
-        let val = accuracy(&lv, &ds.labels, &split.val);
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if let Some(s) = step_obs {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: s.loss_task,
-                loss_kl: s.loss_kl,
-                loss_recon: s.loss_recon,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: s.grad_norms,
-                beta: s.beta,
-                level_sizes: s.level_sizes,
-                peak_tape_bytes: s.peak_tape_bytes,
-            });
-        }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = accuracy(&lv, &ds.labels, &split.test);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
-            }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                model.record_structure(&store, &ctx),
-            )?;
-        }
-        if stop {
-            break;
-        }
-    }
-    crate::maybe_dump_kernel_stats("node_classification");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+        Ok(task)
+    })?;
+    Ok(outcome)
 }
 
-/// The link-prediction trainer behind [`crate::TrainSession`]. With
-/// empty hooks this is the historical traced trainer, bit for bit.
-/// The encoder output is an embedding decoded by inner products; the
-/// task loss is the sampled reconstruction BCE (which for AdamGNN *is*
-/// `L_R`, so its total is `L_R + γ L_KL` as in the paper).
-pub(crate) fn link_prediction_session(
-    kind: NodeModelKind,
-    ds: &NodeDataset,
-    cfg: &TrainConfig,
-    hooks: &CkptHooks<'_>,
-) -> Result<(RunResult, TrainTrace), MgError> {
-    let link = LinkSplit::new(&ds.graph, cfg.seed ^ 0x11bb)?;
-    // the encoder sees only the training graph
-    let ctx = GraphCtx::new(link.train_graph.clone(), ds.features.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let embed_dim = cfg.hidden;
-    let model = kind.build(
-        &mut store,
-        ds.feat_dim(),
-        cfg.hidden,
-        embed_dim,
-        cfg,
-        &mut rng,
-    );
-    let adam = AdamConfig::with_lr(cfg.lr);
-    let weights = cfg.weights;
+/// What a node task trains for, with the data its objective and metrics
+/// read besides the labels.
+pub(crate) enum Goal {
+    /// Cross-entropy on the training nodes; accuracy on the node split.
+    Classes {
+        train: Rc<Vec<usize>>,
+        val: Vec<usize>,
+        test: Vec<usize>,
+    },
+    /// BCE on training edges and fresh non-edges; ROC-AUC on the edge
+    /// split. The encoder sees only the training graph.
+    Links(LinkSplit),
+    /// Unsupervised BCE on every edge and as many non-edges; NMI of a
+    /// k-means with `classes` clusters over the final embedding. No
+    /// validation split.
+    Clusters {
+        classes: usize,
+        edges: Vec<(usize, usize)>,
+    },
+}
 
-    let pos = link.train_pos.clone();
-    let n = ds.n();
+/// A node task's goal and the full graph it is scored on, which is also
+/// the graph full-batch steps train on.
+pub(crate) struct FullGraph {
+    pub ctx: GraphCtx,
+    pub goal: Goal,
+    pub labels: Rc<Vec<usize>>,
+    /// Eval-mode output of the last evaluation forward.
+    out: Matrix,
+}
 
-    let meta = CkptMeta {
-        task: "link_prediction".into(),
-        model: kind.name().into(),
-        dataset: ds.name.clone(),
-        in_dim: ds.feat_dim(),
-        out_dim: embed_dim,
-        n_nodes: ds.n(),
-    };
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0;
-    let mut bad_epochs = 0;
-    let mut epochs_run = 0;
-    let mut trace = TrainTrace::new();
-    let mut start_epoch = 0;
-    if let Some(ck) = hooks.resume {
-        session::check_resume(ck, &meta, cfg)?;
-        store.import_state(&ck.params, ck.adam_t)?;
-        rng = StdRng::from_state(ck.rng);
-        best_val = ck.state.best_val;
-        best_test = ck.state.best_test;
-        bad_epochs = ck.state.bad_epochs;
-        epochs_run = ck.state.epochs_run;
-        start_epoch = if bad_epochs >= cfg.patience {
-            cfg.epochs
-        } else {
-            ck.state.next_epoch
-        };
-        trace = session::restored_trace(ck);
+impl FullGraph {
+    pub fn classes(ds: &NodeDataset, cfg: &TrainConfig) -> Result<FullGraph, MgError> {
+        let Split { train, val, test } = Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed)?;
+        let train = Rc::new(train);
+        Ok(FullGraph::new(
+            ds.graph.clone(),
+            ds,
+            Goal::Classes { train, val, test },
+        ))
     }
 
-    let mut obs = Trace::from_env("link_prediction");
-    obs.run_start(&run_meta(kind, ds, cfg));
+    pub fn links(ds: &NodeDataset, cfg: &TrainConfig) -> Result<FullGraph, MgError> {
+        let link = LinkSplit::new(&ds.graph, cfg.seed ^ 0x11bb)?;
+        let graph = link.train_graph.clone();
+        Ok(FullGraph::new(graph, ds, Goal::Links(link)))
+    }
 
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        let sw = Stopwatch::start();
-        let (train_loss, step_obs) = {
-            let tape = Tape::new();
-            let bind = store.bind(&tape);
-            let (h, internals) = model.forward(&tape, &bind, &ctx, true, &mut rng);
-            // Fresh negatives each epoch. This guarded rejection loop
-            // predates mg_data::sample_non_edges and is deliberately kept
-            // bit-for-bit (the mg-verify link-prediction golden pins its
-            // exact draw sequence); unlike the evaluation sets, a rare
-            // training-negative shortfall only softens one epoch's loss.
-            let mut pairs = pos.clone();
-            let mut labels = vec![1.0; pos.len()];
-            let mut added = 0;
-            let mut guard = 0;
-            while added < pos.len() && guard < 100 * pos.len() {
-                guard += 1;
-                let u = rng.random_range(0..n);
-                let v = rng.random_range(0..n);
-                if u != v && !ds.graph.has_edge(u, v) {
-                    pairs.push((u, v));
-                    labels.push(0.0);
-                    added += 1;
-                }
-            }
-            let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
-            let mut kl_term = None;
-            let mut loss = match &internals {
-                Some(out) if weights.gamma != 0.0 => {
-                    // LP: L = L_R + γ L_KL (task loss already equals L_R)
-                    let kl = kl_loss(&tape, out.h, &out.egos_l1);
-                    kl_term = Some(kl);
-                    tape.add(task, tape.scale(kl, weights.gamma))
-                }
-                _ => task,
-            };
-            // operator-specific auxiliary term (None for the default
-            // operator, keeping the historical composition unchanged)
-            if let Some(aux) = internals.as_ref().and_then(|o| o.aux) {
-                loss = tape.add(loss, aux);
-            }
-            let loss_value = tape.value(loss).scalar();
-            let mut grads = tape.backward(loss);
-            let step_obs = obs.enabled().then(|| {
-                // the BCE task term *is* L_R for link prediction
-                telemetry::collect_step(
-                    &tape,
-                    &store,
-                    &bind,
-                    &grads,
-                    telemetry::LossTerms {
-                        task: Some(task),
-                        kl: kl_term,
-                        recon: Some(task),
-                    },
-                    internals.as_ref(),
-                )
-            });
-            store.step(&mut grads, &bind, &adam);
-            (loss_value, step_obs)
-        };
-        let train_ns = sw.elapsed_ns();
-        let sw = Stopwatch::start();
+    pub fn clusters(ds: &NodeDataset) -> FullGraph {
+        let edges = ds.graph.edges().iter();
+        let edges = edges.map(|&(u, v)| (u as usize, v as usize)).collect();
+        let classes = ds.num_classes;
+        FullGraph::new(ds.graph.clone(), ds, Goal::Clusters { classes, edges })
+    }
+
+    fn new(graph: Topology, ds: &NodeDataset, goal: Goal) -> FullGraph {
+        let ctx = GraphCtx::new(graph, ds.features.clone());
+        let (labels, out) = (Rc::new(ds.labels.clone()), Matrix::zeros(0, 0));
+        FullGraph {
+            ctx,
+            goal,
+            labels,
+            out,
+        }
+    }
+
+    pub fn validates(&self) -> bool {
+        !matches!(self.goal, Goal::Clusters { .. })
+    }
+
+    fn forward(&mut self, model: &AnyNodeModel, store: &ParamStore, rng: &mut StdRng) {
         let tape = Tape::new();
-        let bind = store.bind(&tape);
-        let (h, _) = model.forward(&tape, &bind, &ctx, false, &mut rng);
-        let hv = tape.value_cloned(h);
-        let val = roc_auc(
-            &pair_scores(&hv, &link.val_pos),
-            &pair_scores(&hv, &link.val_neg),
-        );
-        let eval_ns = sw.elapsed_ns();
-        trace.push(epoch, train_loss, val);
-        if let Some(s) = step_obs {
-            obs.epoch(&mg_obs::EpochRecord {
-                epoch,
-                loss_total: train_loss,
-                loss_task: s.loss_task,
-                loss_kl: s.loss_kl,
-                loss_recon: s.loss_recon,
-                val_metric: Some(val),
-                train_ns,
-                eval_ns,
-                grad_norms: s.grad_norms,
-                beta: s.beta,
-                level_sizes: s.level_sizes,
-                peak_tape_bytes: s.peak_tape_bytes,
-            });
+        let (out, _) = model.forward(&tape, &store.bind(&tape), &self.ctx, false, rng);
+        self.out = tape.value_cloned(out);
+    }
+
+    pub fn validate(&mut self, model: &AnyNodeModel, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        self.forward(model, store, rng);
+        self.score(true, rng)
+    }
+
+    /// The test metric of the output the last validation computed, or,
+    /// without a validation split, of a fresh forward.
+    pub fn test(&mut self, model: &AnyNodeModel, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        if !self.validates() {
+            self.forward(model, store, rng);
         }
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_test = roc_auc(
-                &pair_scores(&hv, &link.test_pos),
-                &pair_scores(&hv, &link.test_neg),
-            );
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-            if bad_epochs >= cfg.patience {
-                stop = true;
+        self.score(false, rng)
+    }
+
+    /// The metric on the validation split, or else on the test split.
+    fn score(&self, on_val: bool, rng: &mut StdRng) -> f64 {
+        let (out, labels) = (&self.out, &self.labels);
+        match &self.goal {
+            Goal::Classes { val, test, .. } => {
+                accuracy(out, labels, if on_val { val } else { test })
             }
-        }
-        if hooks.due(epoch + 1, stop || epoch + 1 == cfg.epochs) {
-            session::write_checkpoint(
-                hooks.path.expect("due() implies a destination"),
-                &meta,
-                cfg,
-                TrainState {
-                    next_epoch: epoch + 1,
-                    epochs_run,
-                    best_val,
-                    best_test,
-                    bad_epochs,
-                },
-                &store,
-                &rng,
-                &trace,
-                &[],
-                model.record_structure(&store, &ctx),
-            )?;
-        }
-        if stop {
-            break;
+            Goal::Links(l) => {
+                let (pos, neg) = match on_val {
+                    true => (&l.val_pos, &l.val_neg),
+                    false => (&l.test_pos, &l.test_neg),
+                };
+                roc_auc(&pair_scores(out, pos), &pair_scores(out, neg))
+            }
+            Goal::Clusters { classes, .. } => nmi(&kmeans(out, *classes, 50, rng), labels),
         }
     }
-    crate::maybe_dump_kernel_stats("link_prediction");
-    obs.kernel_stats();
-    obs.run_end(epochs_run, Some(best_val), Some(best_test));
-    Ok((
-        RunResult {
-            test_metric: best_test,
-            val_metric: best_val,
-            epochs_run,
-        },
-        trace,
-    ))
+}
+
+/// Full-batch training: one step per epoch on the whole graph.
+struct Whole<'a> {
+    model: AnyNodeModel,
+    weights: LossWeights,
+    /// The full graph: training negatives must be non-edges of it.
+    graph: &'a Topology,
+    eval: FullGraph,
+}
+
+impl Task for Whole<'_> {
+    fn step(&mut self, _: usize, tape: &Tape, bind: &Binding, rng: &mut StdRng) -> StepResult {
+        let (ctx, g, w) = (&self.eval.ctx, self.graph, &self.weights);
+        let out = self.model.forward(tape, bind, ctx, true, rng);
+        Ok(match &self.eval.goal {
+            Goal::Classes { train, .. } => {
+                let (labels, train) = (self.eval.labels.clone(), train.clone());
+                classify_objective(tape, out, labels, train, &ctx.graph, w, rng)
+            }
+            Goal::Links(link) => {
+                let pos = link.train_pos.clone();
+                let batch = with_negatives(pos, 100, g.n(), rng, |u, v| g.has_edge(u, v));
+                link_objective(tape, out, batch, w.gamma)
+            }
+            Goal::Clusters { edges, .. } => {
+                link_objective(tape, out, bce_pair_batch(g, edges, rng)?, w.gamma)
+            }
+        })
+    }
+
+    fn validates(&self) -> bool {
+        self.eval.validates()
+    }
+
+    fn validate(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        self.eval.validate(&self.model, store, rng)
+    }
+
+    fn test(&mut self, store: &ParamStore, rng: &mut StdRng) -> f64 {
+        self.eval.test(&self.model, store, rng)
+    }
+
+    fn structure(&self, store: &ParamStore) -> Option<FrozenStructure> {
+        self.model.record_structure(store, &self.eval.ctx)
+    }
+}
+
+/// The node-classification objective: cross-entropy of `logits` on the
+/// `rows`, and for AdamGNN `L_task + γ·L_KL + δ·L_R` with `L_R` sampled
+/// on `graph`. A zero constant stands in for a term whose weight is 0.
+pub(crate) fn classify_objective(
+    tape: &Tape,
+    (logits, internals): (Var, Option<AdamGnnOutput>),
+    targets: Rc<Vec<usize>>,
+    rows: Rc<Vec<usize>>,
+    graph: &Topology,
+    weights: &LossWeights,
+    rng: &mut StdRng,
+) -> Step {
+    let task = tape.cross_entropy(logits, targets, rows);
+    let mut terms = LossTerms {
+        task: Some(task),
+        ..LossTerms::default()
+    };
+    let Some(out) = &internals else {
+        return Step::new(tape, task, terms, internals);
+    };
+    let zero = || tape.constant(Matrix::zeros(1, 1));
+    let kl = match weights.gamma != 0.0 {
+        true => kl_loss(tape, out.h, &out.egos_l1),
+        false => zero(),
+    };
+    let recon = match weights.delta != 0.0 {
+        true => reconstruction_loss(tape, out.h, graph, rng),
+        false => zero(),
+    };
+    (terms.kl, terms.recon) = (Some(kl), Some(recon));
+    let loss = total_loss(tape, task, kl, recon, weights);
+    Step::new(tape, loss, terms, internals)
+}
+
+/// The objective of the pair-scoring tasks (link prediction, clustering):
+/// BCE of the embedding `h` over `pairs`. That BCE *is* `L_R`, so AdamGNN
+/// adds only `γ·L_KL`, and only when γ ≠ 0.
+pub(crate) fn link_objective(
+    tape: &Tape,
+    (h, internals): (Var, Option<AdamGnnOutput>),
+    (pairs, labels): PairBatch,
+    gamma: f64,
+) -> Step {
+    let task = tape.bce_pairs(h, Rc::new(pairs), Rc::new(labels));
+    let mut terms = LossTerms::default();
+    (terms.task, terms.recon) = (Some(task), Some(task));
+    let loss = match &internals {
+        Some(out) if gamma != 0.0 => {
+            let kl = kl_loss(tape, out.h, &out.egos_l1);
+            terms.kl = Some(kl);
+            tape.add(task, tape.scale(kl, gamma))
+        }
+        _ => task,
+    };
+    Step::new(tape, loss, terms, internals)
+}
+
+/// `pos` labelled 1, then up to as many training negatives: random pairs
+/// of distinct ids in `0..k` that are not `adjacent`, labelled 0, giving
+/// up after `guard * pos.len()` draws. The link-prediction goldens pin
+/// this rejection loop's draw sequence; a rare shortfall only softens
+/// one step's loss.
+pub(crate) fn with_negatives(
+    pos: Vec<(usize, usize)>,
+    guard: usize,
+    k: usize,
+    rng: &mut StdRng,
+    adjacent: impl Fn(usize, usize) -> bool,
+) -> PairBatch {
+    let want = pos.len();
+    let (mut pairs, mut labels) = (pos, vec![1.0; want]);
+    let mut draws = 0;
+    while labels.len() < 2 * want && draws < guard * want {
+        draws += 1;
+        let (u, v) = (rng.random_range(0..k), rng.random_range(0..k));
+        if u != v && !adjacent(u, v) {
+            pairs.push((u, v));
+            labels.push(0.0);
+        }
+    }
+    (pairs, labels)
 }
 
 #[cfg(test)]

@@ -1,8 +1,5 @@
 //! The unified trainer entry point: one builder for all four tasks.
 //!
-//! [`TrainSession`] replaces the historical `run_*` / `run_*_traced` /
-//! `run_*_prebuilt` function family with a single configurable API:
-//!
 //! ```no_run
 //! # use mg_eval::{SessionKind, NodeModelKind, TrainConfig, TrainSession};
 //! # let ds: mg_data::NodeDataset = unimplemented!();
@@ -17,34 +14,28 @@
 //! .unwrap();
 //! ```
 //!
-//! The old functions were deprecated in 0.5.0 and removed in 0.10.0 —
-//! every caller (including mg-verify's pinned goldens) now routes
-//! through `TrainSession`, which reproduces them bit for bit.
-//!
 //! ## Checkpointing contract
 //!
-//! Checkpoint writes are *pure observation*: a run with checkpointing
-//! enabled performs exactly the same RNG draws and float operations as
-//! one without, because state capture happens after each epoch's
-//! bookkeeping and the structure-recording forward pass draws nothing
-//! from the training stream. Conversely, a run resumed from a
-//! checkpoint reproduces the uninterrupted run bit for bit: parameters,
-//! Adam moments, the shared step counter, the RNG stream position and
-//! the early-stopping counters are all restored exactly, and the
-//! remaining epochs replay the identical draw sequence.
+//! Checkpoint writes are *pure observation*: capture happens after each
+//! epoch's bookkeeping and the structure-recording forward draws nothing
+//! from the training RNG, so a run with checkpointing performs exactly
+//! the draws and float operations of one without. A resumed run restores
+//! parameters, Adam moments and step counter, the RNG position and the
+//! early-stopping counters, and so replays the uninterrupted run bit for
+//! bit.
 
-use crate::graph_tasks::build_contexts;
+use crate::graph_tasks::{build_contexts, graph_classification};
 use crate::minibatch::MinibatchConfig;
 use crate::models::{GraphModelKind, NodeModelKind};
-use crate::node_tasks::TrainConfig;
+use crate::node_tasks::{node_task, FullGraph, TrainConfig};
 use crate::trace::TrainTrace;
-use adamgnn_core::{FrozenStructure, LossWeights};
-use mg_ckpt::{Checkpoint, CkptConfig, CkptMeta, TraceRow, TrainState};
+use crate::trainer::CkptHooks;
+use adamgnn_core::LossWeights;
+use mg_ckpt::{Checkpoint, CkptConfig};
 use mg_data::{GraphDataset, NodeDataset};
 use mg_nn::GraphCtx;
-use mg_tensor::{MgError, ParamStore};
-use rand::rngs::StdRng;
-use std::path::{Path, PathBuf};
+use mg_tensor::MgError;
+use std::path::PathBuf;
 
 /// Which task to train, and with which model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,16 +55,6 @@ impl SessionKind {
             SessionKind::LinkPrediction(_) => "link_prediction",
             SessionKind::GraphClassification(_) => "graph_classification",
             SessionKind::NodeClustering(_) => "node_clustering",
-        }
-    }
-
-    /// Display name of the model this session trains.
-    pub fn model_name(&self) -> &'static str {
-        match self {
-            SessionKind::NodeClassification(k)
-            | SessionKind::LinkPrediction(k)
-            | SessionKind::NodeClustering(k) => k.name(),
-            SessionKind::GraphClassification(k) => k.name(),
         }
     }
 }
@@ -117,8 +98,9 @@ pub struct RunOutcome {
     /// Per-epoch history; empty when `.traced(false)` (the default is
     /// traced). Clustering rows carry `val = NaN` (no validation).
     pub trace: TrainTrace,
-    /// Mean wall-clock seconds per training epoch; graph classification
-    /// only (Table 4's metric).
+    /// Mean wall-clock seconds per training epoch (Table 4's metric),
+    /// over every epoch run including those before a resume; `None` when
+    /// no epoch ran.
     pub epoch_seconds: Option<f64>,
 }
 
@@ -147,12 +129,10 @@ impl TrainSession {
         }
     }
 
-    /// Train with sampled ego-subgraph minibatches instead of full-batch
-    /// epochs. Node classification and link prediction only — graph
-    /// classification already iterates over (small, whole) graphs, and
-    /// clustering's unsupervised objective is defined on the full graph.
-    /// Evaluation stays full-graph, so metrics remain comparable to the
-    /// full-batch trainers; see [`MinibatchConfig`].
+    /// Train on sampled ego-subgraph minibatches instead of the whole
+    /// graph: node classification and link prediction only. Evaluation
+    /// stays full-graph, so metrics compare with full-batch runs; see
+    /// [`MinibatchConfig`].
     pub fn minibatch(mut self, mb: MinibatchConfig) -> Self {
         self.minibatch = Some(mb);
         self
@@ -180,13 +160,10 @@ impl TrainSession {
         self
     }
 
-    /// Resume from a checkpoint written by an identical session: same
-    /// task, model, dataset identity and training configuration —
-    /// anything else is an [`MgError::Mismatch`]. The epoch budget is
-    /// the one deliberate exception: resuming with a larger `epochs`
-    /// continues an interrupted (or exhausted) run, and the continuation
-    /// replays exactly what an uninterrupted run with that budget would
-    /// have computed.
+    /// Resume from a checkpoint of an identical session (same task, model,
+    /// dataset identity and configuration, else [`MgError::Mismatch`]).
+    /// Only the epoch budget may grow: the continuation replays exactly
+    /// what an uninterrupted run with that budget computes.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
         self
@@ -200,19 +177,9 @@ impl TrainSession {
                     .into(),
             });
         }
-        if self.minibatch.is_some()
-            && !matches!(
-                self.kind,
-                SessionKind::NodeClassification(_) | SessionKind::LinkPrediction(_)
-            )
-        {
-            return Err(MgError::InvalidInput {
-                detail: format!(
-                    "minibatch sampling applies to node classification and link prediction, \
-                     not {}",
-                    self.kind.task_name()
-                ),
-            });
+        let mb = self.minibatch.as_ref();
+        if let Some(mb) = mb {
+            mb.check()?;
         }
         let resume = match &self.resume_from {
             Some(p) => Some(Checkpoint::load(p)?),
@@ -223,128 +190,57 @@ impl TrainSession {
             path: self.checkpoint_to.as_deref(),
             resume: resume.as_ref(),
         };
-        let mut outcome = match (self.kind, input.into()) {
+        let cfg = &self.cfg;
+        let input = input.into();
+        let finite = match &input {
+            SessionInput::Node(ds) => ds.features.all_finite(),
+            SessionInput::Graphs(ds) => ds.samples.iter().all(|s| s.features.all_finite()),
+            SessionInput::Prebuilt { contexts, .. } => {
+                contexts.iter().all(|(c, _)| c.x.all_finite())
+            }
+        };
+        if !finite {
+            let detail = "input features hold a NaN or infinity".into();
+            return Err(MgError::InvalidInput { detail });
+        }
+        let mut outcome = match (self.kind, input) {
             (SessionKind::NodeClassification(k), SessionInput::Node(ds)) => {
-                let (res, trace) = match &self.minibatch {
-                    Some(mb) => crate::minibatch::node_classification_minibatch(
-                        k, ds, &self.cfg, mb, &hooks,
-                    )?,
-                    None => {
-                        crate::node_tasks::node_classification_session(k, ds, &self.cfg, &hooks)?
-                    }
-                };
-                RunOutcome {
-                    test_metric: res.test_metric,
-                    val_metric: Some(res.val_metric),
-                    epochs_run: res.epochs_run,
-                    trace,
-                    epoch_seconds: None,
-                }
+                node_task(k, ds, FullGraph::classes(ds, cfg)?, cfg, mb, &hooks)?
             }
             (SessionKind::LinkPrediction(k), SessionInput::Node(ds)) => {
-                let (res, trace) = match &self.minibatch {
-                    Some(mb) => {
-                        crate::minibatch::link_prediction_minibatch(k, ds, &self.cfg, mb, &hooks)?
-                    }
-                    None => crate::node_tasks::link_prediction_session(k, ds, &self.cfg, &hooks)?,
-                };
-                RunOutcome {
-                    test_metric: res.test_metric,
-                    val_metric: Some(res.val_metric),
-                    epochs_run: res.epochs_run,
-                    trace,
-                    epoch_seconds: None,
-                }
+                node_task(k, ds, FullGraph::links(ds, cfg)?, cfg, mb, &hooks)?
             }
-            (SessionKind::NodeClustering(k), SessionInput::Node(ds)) => {
-                let (score, trace) =
-                    crate::clustering::node_clustering_session(k, ds, &self.cfg, &hooks)?;
-                RunOutcome {
-                    test_metric: score,
-                    val_metric: None,
-                    epochs_run: self.cfg.epochs,
-                    trace,
-                    epoch_seconds: None,
-                }
+            (SessionKind::NodeClustering(k), SessionInput::Node(ds)) if mb.is_none() => {
+                node_task(k, ds, FullGraph::clusters(ds), cfg, mb, &hooks)?
             }
-            (SessionKind::GraphClassification(k), SessionInput::Graphs(ds)) => {
-                let contexts = build_contexts(ds);
-                let (res, trace, epochs_run) = crate::graph_tasks::graph_classification_session(
-                    k,
-                    &contexts,
-                    ds.feat_dim,
-                    &self.cfg,
-                    &hooks,
-                )?;
-                RunOutcome {
-                    test_metric: res.test_accuracy,
-                    val_metric: Some(res.val_accuracy),
-                    epochs_run,
-                    trace,
-                    epoch_seconds: Some(res.epoch_seconds),
-                }
+            (SessionKind::GraphClassification(k), SessionInput::Graphs(ds)) if mb.is_none() => {
+                graph_classification(k, &build_contexts(ds), ds.feat_dim, cfg, &hooks)?
             }
             (
                 SessionKind::GraphClassification(k),
                 SessionInput::Prebuilt { contexts, feat_dim },
-            ) => {
-                let (res, trace, epochs_run) = crate::graph_tasks::graph_classification_session(
-                    k, contexts, feat_dim, &self.cfg, &hooks,
-                )?;
-                RunOutcome {
-                    test_metric: res.test_accuracy,
-                    val_metric: Some(res.val_accuracy),
-                    epochs_run,
-                    trace,
-                    epoch_seconds: Some(res.epoch_seconds),
-                }
-            }
+            ) if mb.is_none() => graph_classification(k, contexts, feat_dim, cfg, &hooks)?,
             (kind, _) => {
-                return Err(MgError::InvalidInput {
-                    detail: format!(
-                        "{} cannot run on this input (node-level tasks take a NodeDataset, \
-                         graph classification a GraphDataset or prebuilt contexts)",
-                        kind.task_name()
+                let task = kind.task_name();
+                let detail = match mb {
+                    // graph classification already iterates over small
+                    // whole graphs; clustering's objective is full-graph
+                    Some(_) => format!(
+                        "minibatch sampling applies to node classification and link \
+                         prediction, not {task}"
                     ),
-                })
+                    None => format!(
+                        "{task} cannot run on this input (node-level tasks take a \
+                         NodeDataset, graph classification a GraphDataset or prebuilt contexts)"
+                    ),
+                };
+                return Err(MgError::InvalidInput { detail });
             }
         };
         if !self.traced {
             outcome.trace = TrainTrace::new();
         }
         Ok(outcome)
-    }
-}
-
-/// Checkpoint/resume wiring threaded into the task trainers. With all
-/// fields `None` the trainers behave exactly as before the session API
-/// existed — checkpointing is pure observation.
-pub(crate) struct CkptHooks<'a> {
-    pub every: Option<usize>,
-    pub path: Option<&'a Path>,
-    pub resume: Option<&'a Checkpoint>,
-}
-
-impl CkptHooks<'_> {
-    /// No checkpointing, no resume.
-    #[cfg(test)]
-    pub fn none() -> CkptHooks<'static> {
-        CkptHooks {
-            every: None,
-            path: None,
-            resume: None,
-        }
-    }
-
-    /// Should a checkpoint be written after `completed` epochs?
-    /// `last` marks the final epoch (exhaustion or early stop), which
-    /// always writes when a destination is configured.
-    pub fn due(&self, completed: usize, last: bool) -> bool {
-        self.path.is_some()
-            && (last
-                || self
-                    .every
-                    .is_some_and(|k| k > 0 && completed.is_multiple_of(k)))
     }
 }
 
@@ -380,84 +276,6 @@ pub(crate) fn from_ckpt_config(c: &CkptConfig) -> TrainConfig {
         flyback: c.flyback,
         pooling: c.pooling,
     }
-}
-
-/// Reject a checkpoint that was produced by a different job: resuming
-/// across task, model, dataset identity or configuration would silently
-/// train the wrong thing.
-pub(crate) fn check_resume(
-    ck: &Checkpoint,
-    meta: &CkptMeta,
-    cfg: &TrainConfig,
-) -> Result<(), MgError> {
-    if ck.meta != *meta {
-        return Err(MgError::Mismatch {
-            detail: format!(
-                "checkpoint identity {:?} does not match this session's {:?}",
-                ck.meta, meta
-            ),
-        });
-    }
-    let want = to_ckpt_config(cfg);
-    // The epoch budget is allowed to differ: nothing inside an epoch
-    // depends on it, so a short-budget run is bitwise a prefix of a
-    // longer one and resuming with more epochs is a pure continuation.
-    let mut have = ck.config;
-    have.epochs = want.epochs;
-    if have != want {
-        return Err(MgError::Mismatch {
-            detail: format!(
-                "checkpoint config {:?} does not match this session's {:?}",
-                ck.config, want
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// The trace prefix a resumed run starts from.
-pub(crate) fn restored_trace(ck: &Checkpoint) -> TrainTrace {
-    let mut trace = TrainTrace::new();
-    for row in &ck.trace {
-        trace.push(row.epoch, row.loss, row.val);
-    }
-    trace
-}
-
-/// Assemble and atomically write one checkpoint file.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_checkpoint(
-    path: &Path,
-    meta: &CkptMeta,
-    cfg: &TrainConfig,
-    state: TrainState,
-    store: &ParamStore,
-    rng: &StdRng,
-    trace: &TrainTrace,
-    epoch_times: &[f64],
-    structure: Option<FrozenStructure>,
-) -> Result<(), MgError> {
-    let (params, adam_t) = store.export_state();
-    let ck = Checkpoint {
-        meta: meta.clone(),
-        config: to_ckpt_config(cfg),
-        state,
-        params,
-        adam_t,
-        rng: rng.state(),
-        trace: trace
-            .records
-            .iter()
-            .map(|r| TraceRow {
-                epoch: r.epoch,
-                loss: r.loss,
-                val: r.val,
-            })
-            .collect(),
-        epoch_times: epoch_times.to_vec(),
-        structure,
-    };
-    ck.save(path)
 }
 
 #[cfg(test)]
@@ -577,24 +395,42 @@ mod tests {
         assert!(matches!(err, Err(MgError::InvalidInput { .. })));
     }
 
+    /// A NaN in the inputs poisons the loss: every trainer must fail
+    /// with a typed error instead of returning a NaN trace.
     #[test]
-    fn due_policy() {
-        let path = PathBuf::from("x.mgck");
-        let h = CkptHooks {
-            every: Some(3),
-            path: Some(&path),
-            resume: None,
+    fn non_finite_loss_fails_closed() {
+        let mut ds = mg_data::make_node_dataset(
+            mg_data::NodeDatasetKind::Cora,
+            &mg_data::NodeGenConfig {
+                scale: 0.05,
+                max_feat_dim: 16,
+                seed: 0,
+            },
+        );
+        let cfg = TrainConfig {
+            epochs: 3,
+            hidden: 8,
+            levels: 2,
+            ..Default::default()
         };
-        assert!(!h.due(1, false));
-        assert!(h.due(3, false));
-        assert!(h.due(7, true), "final epoch always writes");
-        let h = CkptHooks {
-            every: None,
-            path: Some(&path),
-            resume: None,
-        };
-        assert!(!h.due(3, false), "no cadence: only the final write");
-        assert!(h.due(3, true));
-        assert!(!CkptHooks::none().due(3, true), "no destination: never");
+        // a training node, so every epoch's loss reads its row
+        let split = mg_data::Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed).unwrap();
+        ds.features[(split.train[0], 0)] = f64::NAN;
+        let kind = SessionKind::NodeClassification(NodeModelKind::AdamGnn);
+        let full = TrainSession::new(kind, &cfg).run(&ds);
+        assert!(
+            matches!(full, Err(MgError::InvalidInput { .. })),
+            "{full:?}"
+        );
+        let sampled = TrainSession::new(kind, &cfg)
+            .minibatch(MinibatchConfig {
+                batch_size: 16,
+                fanouts: vec![4, 4],
+            })
+            .run(&ds);
+        assert!(
+            matches!(sampled, Err(MgError::InvalidInput { .. })),
+            "{sampled:?}"
+        );
     }
 }

@@ -1,39 +1,16 @@
-//! Collection helpers between the trainers and the mg-obs trace sink.
-//!
-//! Everything here is *read-only observation*: helpers read tape values
-//! that the training step already computed and gradients that backward
-//! already produced, and never draw from an RNG — so a traced run is
-//! bit-identical to an untraced one (pinned by the mg-verify golden
-//! suite). Call sites gate collection on `Trace::enabled()` so disabled
-//! runs skip the work entirely.
+//! Step telemetry for the mg-obs trace sink. Read-only observation: tape
+//! values the step computed and gradients backward produced, no RNG
+//! draw, so a traced run is bit-identical to an untraced one. The loop
+//! collects only when `Trace::enabled()`.
 
-use adamgnn_core::AdamGnnOutput;
-use mg_obs::BetaStats;
+use crate::trainer::Step;
+use mg_obs::{BetaStats, EpochRecord};
 use mg_tensor::{Binding, Gradients, ParamStore, Tape, Var};
-
-/// The telemetry of one training step, harvested between `backward` and
-/// the optimiser step (gradients are consumed by `ParamStore::step`).
-pub(crate) struct StepObs {
-    pub loss_task: Option<f64>,
-    pub loss_kl: Option<f64>,
-    pub loss_recon: Option<f64>,
-    pub grad_norms: Vec<(String, f64)>,
-    pub beta: Option<BetaStats>,
-    pub level_sizes: Vec<usize>,
-    /// High-water mark of live tape bytes for this step's tape —
-    /// retained runs see the full forward footprint, checkpointed runs
-    /// the reduced one (see `Tape::peak_tape_bytes`).
-    pub peak_tape_bytes: u64,
-}
 
 /// L2 norm per parameter tensor, in registration order. Parameters the
 /// backward pass never reached are reported with norm 0 (lazy-gradient
 /// semantics: the optimiser leaves them untouched too).
-pub(crate) fn grad_norms(
-    store: &ParamStore,
-    bind: &Binding,
-    grads: &Gradients,
-) -> Vec<(String, f64)> {
+fn grad_norms(store: &ParamStore, bind: &Binding, grads: &Gradients) -> Vec<(String, f64)> {
     store
         .param_ids()
         .into_iter()
@@ -56,34 +33,31 @@ pub(crate) struct LossTerms {
     pub recon: Option<Var>,
 }
 
-/// Harvest one step's telemetry. `terms` holds the objective's term
-/// variables; `internals` is AdamGNN's forward output when the model
-/// exposes one.
+/// Harvest one step's telemetry into the step fields of an epoch record
+/// (loss terms, gradient norms, β, level sizes, peak tape bytes), between
+/// `backward` and the optimizer step that consumes the gradients.
 pub(crate) fn collect_step(
     tape: &Tape,
     store: &ParamStore,
     bind: &Binding,
     grads: &Gradients,
-    terms: LossTerms,
-    internals: Option<&AdamGnnOutput>,
-) -> StepObs {
-    let LossTerms { task, kl, recon } = terms;
+    step: &Step,
+) -> EpochRecord {
+    let (terms, internals) = (step.terms, step.internals.as_ref());
     let scalar = |v: Var| tape.value(v).scalar();
     let beta = internals.and_then(|out| out.beta).map(|b| {
         let m = tape.value(b);
         BetaStats::from_flat(m.data(), m.shape().1)
     });
-    let level_sizes = internals
-        .map(|out| out.levels.iter().map(|l| l.size).collect())
-        .unwrap_or_default();
-    StepObs {
-        loss_task: task.map(scalar),
-        loss_kl: kl.map(scalar),
-        loss_recon: recon.map(scalar),
+    EpochRecord {
+        loss_task: terms.task.map(scalar),
+        loss_kl: terms.kl.map(scalar),
+        loss_recon: terms.recon.map(scalar),
         grad_norms: grad_norms(store, bind, grads),
         beta,
-        level_sizes,
+        level_sizes: internals.map_or(vec![], |o| o.levels.iter().map(|l| l.size).collect()),
         peak_tape_bytes: tape.peak_tape_bytes() as u64,
+        ..EpochRecord::default()
     }
 }
 
@@ -121,7 +95,8 @@ mod tests {
             task: Some(task),
             ..Default::default()
         };
-        let obs = collect_step(&tape, &store, &bind, &grads, terms, None);
+        let step = Step::new(&tape, task, terms, None);
+        let obs = collect_step(&tape, &store, &bind, &grads, &step);
         assert_eq!(obs.loss_task, Some(2.0));
         assert_eq!(obs.loss_kl, None);
         assert_eq!(obs.loss_recon, None);

@@ -1,28 +1,13 @@
-//! Per-epoch training traces — the observation hook mg-verify's golden
-//! and differential tests consume.
-//!
-//! A trace records, for every epoch a trainer actually ran, the training
-//! loss and the validation metric. Recording is pure observation: the
-//! traced trainers read scalars that the training loop already computed
-//! (or that evaluating costs nothing extra to read) and never draw from
-//! the RNG streams, so a traced run is bit-identical to an untraced one.
+//! Per-epoch training traces, which mg-verify's golden and differential
+//! tests consume: the training loss and validation metric of every epoch
+//! run, read without any RNG draw, in the checkpoint's own [`TraceRow`]s.
 
-/// One epoch of a training run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EpochRecord {
-    /// Epoch index, 0-based.
-    pub epoch: usize,
-    /// Training loss for the epoch (mean over batches for mini-batch
-    /// trainers).
-    pub loss: f64,
-    /// Validation metric after the epoch's update (accuracy or ROC-AUC).
-    pub val: f64,
-}
+pub use mg_ckpt::TraceRow;
 
 /// The full per-epoch history of one training run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrainTrace {
-    pub records: Vec<EpochRecord>,
+    pub records: Vec<TraceRow>,
 }
 
 impl TrainTrace {
@@ -31,9 +16,10 @@ impl TrainTrace {
         Self::default()
     }
 
-    /// Append one epoch.
+    /// Append one epoch: its training loss (mean over steps for
+    /// multi-step epochs) and validation metric (NaN without one).
     pub fn push(&mut self, epoch: usize, loss: f64, val: f64) {
-        self.records.push(EpochRecord { epoch, loss, val });
+        self.records.push(TraceRow { epoch, loss, val });
     }
 
     /// Number of recorded epochs.

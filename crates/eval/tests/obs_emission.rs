@@ -10,7 +10,7 @@
 //! cannot race with each other.
 
 use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
-use mg_eval::{NodeModelKind, SessionKind, TrainConfig, TrainSession};
+use mg_eval::{MinibatchConfig, NodeModelKind, SessionKind, TrainConfig, TrainSession};
 use mg_obs::{validate_trace, Json};
 use std::sync::Mutex;
 
@@ -167,6 +167,64 @@ fn all_trainers_emit_complete_run_records() {
     assert_eq!(report.kernel_stats, 3, "one kernel_stats per run");
     assert_eq!(report.run_ends, 3, "one run_end per run");
     assert_eq!(report.epochs, nc.epochs_run + lp.epochs_run + cfg.epochs);
+
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Sampled runs go through the same loop as full-batch ones, so their
+/// epoch records carry the same decomposition: the loss terms, flyback
+/// β, level sizes and gradient norms of the epoch's last step.
+#[test]
+fn sampled_epoch_records_carry_step_telemetry() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = tiny_ds();
+    let cfg = fast_cfg();
+    let path = std::env::temp_dir().join(format!("mg_obs_sampled_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    std::env::set_var("MG_TRACE", &path);
+    let res = TrainSession::new(
+        SessionKind::NodeClassification(NodeModelKind::AdamGnn),
+        &cfg,
+    )
+    .minibatch(MinibatchConfig {
+        batch_size: 32,
+        fanouts: vec![8, 8],
+    })
+    .run(&ds)
+    .unwrap();
+    std::env::remove_var("MG_TRACE");
+
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let report = validate_trace(&text).expect("trace validates");
+    assert_eq!(report.epochs, res.epochs_run);
+    let mut epochs = 0;
+    for line in text.lines() {
+        let v = Json::parse(line).expect("line parses");
+        if v.get("kind").and_then(Json::as_str) != Some("epoch") {
+            continue;
+        }
+        epochs += 1;
+        for term in ["loss_task", "loss_kl", "loss_recon"] {
+            let x = v
+                .get(term)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("sampled epoch record missing {term}: {line}"));
+            assert!(x.is_finite());
+        }
+        let norms = v.get("grad_norms").and_then(Json::as_arr);
+        assert!(norms.is_some_and(|a| !a.is_empty()), "grad_norms: {line}");
+        let beta = v.get("beta").expect("beta stats present");
+        assert!(beta
+            .get("mean")
+            .and_then(Json::as_arr)
+            .is_some_and(|a| !a.is_empty()));
+        let sizes = v.get("level_sizes").and_then(Json::as_arr);
+        assert!(
+            sizes.is_some_and(|a| a.len() == cfg.levels),
+            "level_sizes: {line}"
+        );
+    }
+    assert_eq!(epochs, res.epochs_run);
 
     let _ = std::fs::remove_file(&path);
 }

@@ -113,7 +113,7 @@ impl BetaStats {
 /// the per-term fields are `None` (JSON `null`) for models whose
 /// objective has no such term (plain baselines, clustering's
 /// unsupervised loop).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochRecord {
     pub epoch: usize,
     /// Composite training loss (mean over batches for mini-batch loops).

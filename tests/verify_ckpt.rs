@@ -22,7 +22,8 @@ use adamgnn_repro::data::{
     NodeDatasetKind, NodeGenConfig,
 };
 use adamgnn_repro::eval::{
-    FrozenModel, GraphModelKind, NodeModelKind, RunOutcome, SessionKind, TrainConfig, TrainSession,
+    FrozenModel, GraphModelKind, MinibatchConfig, NodeModelKind, RunOutcome, SessionKind,
+    TrainConfig, TrainSession,
 };
 use mg_ckpt::Checkpoint;
 use mg_tensor::MgError;
@@ -148,6 +149,37 @@ fn node_clustering_resume_equals_uninterrupted() {
     check_resume_equals_uninterrupted(SessionKind::NodeClustering(NodeModelKind::Gcn), |s| {
         s.run(&ds).expect("session runs")
     });
+}
+
+/// The sampled leg of the same contract for link prediction: the edge
+/// shuffle, fanout draws and in-subgraph negatives all replay from the
+/// restored RNG position.
+#[test]
+fn sampled_link_prediction_resume_equals_uninterrupted() {
+    let ds = node_ds();
+    let kind = SessionKind::LinkPrediction(NodeModelKind::AdamGnn);
+    let sampled = |s: TrainSession| {
+        s.minibatch(MinibatchConfig {
+            batch_size: 32,
+            fanouts: vec![6, 6],
+        })
+        .run(&ds)
+        .expect("sampled session runs")
+    };
+    let path = tmp("sampled_link_prediction");
+    let _ = std::fs::remove_file(&path);
+
+    let full = sampled(TrainSession::new(kind, &cfg(8)));
+    let prefix = sampled(TrainSession::new(kind, &cfg(3)).checkpoint_to(&path));
+    let resumed = sampled(TrainSession::new(kind, &cfg(8)).resume_from(&path));
+
+    assert_eq!(
+        prefix.trace.records.len(),
+        3,
+        "prefix run stops at its budget"
+    );
+    assert_outcomes_bitwise(&full, &resumed, "sampled link prediction");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
