@@ -7,7 +7,6 @@ pub mod ctx;
 pub mod encoders;
 pub mod gc;
 pub mod layers;
-pub mod layers_ext;
 pub mod pool;
 pub mod readout;
 pub mod testkit;
@@ -16,7 +15,6 @@ pub use ctx::GraphCtx;
 pub use encoders::{GatNet, GcnNet, GinNet, NodeEncoder, SageNet};
 pub use gc::{GcOutput, GinGc, GraphClassifier};
 pub use layers::{Activation, GatLayer, GcnLayer, GinLayer, Mlp, SageLayer};
-pub use layers_ext::{MultiHeadGat, SageMaxPool};
 pub use pool::{
     dense_adj, top_ratio_indices, topk_coverage, DenseFlavor, DensePoolGc, GraphUNet, SortPoolGc,
     ThreeWlGc, TopKFlavor, TopKGc,
