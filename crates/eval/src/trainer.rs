@@ -65,12 +65,12 @@ pub(crate) struct Step {
 impl Step {
     /// Add the pooling operator's auxiliary term last (`None` for the
     /// default operator, keeping the historical composition unchanged).
-    pub fn new(tape: &Tape, loss: Var, terms: LossTerms, adam: Option<AdamGnnOutput>) -> Step {
-        let loss = match adam.as_ref().and_then(|o| o.aux) {
+    pub fn new(tape: &Tape, loss: Var, terms: LossTerms, internals: Option<AdamGnnOutput>) -> Step {
+        let loss = match internals.as_ref().and_then(|o| o.aux) {
             Some(aux) => tape.add(loss, aux),
             None => loss,
         };
-        let (internals, sub) = (adam, None);
+        let sub = None;
         Step {
             loss,
             terms,
