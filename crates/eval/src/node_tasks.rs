@@ -1,9 +1,9 @@
 //! The node-level tasks — node classification (accuracy), link
 //! prediction (ROC-AUC) and node clustering (NMI) — under the paper's
 //! protocol: 80/10/10 splits, best-validation selection and the composite
-//! AdamGNN loss. A [`FullGraph`] holds what a task trains for and how it
-//! is scored; it trains full-batch here ([`Whole`]) or on sampled
-//! ego-subgraphs ([`crate::minibatch::Sampled`]).
+//! AdamGNN loss. A `FullGraph` holds what a task trains for and how it
+//! is scored; it trains full-batch here (`Whole`) or on sampled
+//! ego-subgraphs (`minibatch::Sampled`).
 
 use crate::clustering::{bce_pair_batch, kmeans, nmi, PairBatch};
 use crate::metrics::{accuracy, pair_scores, roc_auc};

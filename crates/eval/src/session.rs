@@ -16,13 +16,15 @@
 //!
 //! ## Checkpointing contract
 //!
-//! Checkpoint writes are *pure observation*: capture happens after each
-//! epoch's bookkeeping and the structure-recording forward draws nothing
-//! from the training RNG, so a run with checkpointing performs exactly
-//! the draws and float operations of one without. A resumed run restores
-//! parameters, Adam moments and step counter, the RNG position and the
-//! early-stopping counters, and so replays the uninterrupted run bit for
-//! bit.
+//! Checkpoint writes are *pure observation*: a run with checkpointing
+//! enabled performs exactly the same RNG draws and float operations as
+//! one without, because state capture happens after each epoch's
+//! bookkeeping and the structure-recording forward pass draws nothing
+//! from the training stream. Conversely, a run resumed from a
+//! checkpoint reproduces the uninterrupted run bit for bit: parameters,
+//! Adam moments, the shared step counter, the RNG stream position and
+//! the early-stopping counters are all restored exactly, and the
+//! remaining epochs replay the identical draw sequence.
 
 use crate::graph_tasks::{build_contexts, graph_classification};
 use crate::minibatch::MinibatchConfig;
@@ -129,10 +131,12 @@ impl TrainSession {
         }
     }
 
-    /// Train on sampled ego-subgraph minibatches instead of the whole
-    /// graph: node classification and link prediction only. Evaluation
-    /// stays full-graph, so metrics compare with full-batch runs; see
-    /// [`MinibatchConfig`].
+    /// Train with sampled ego-subgraph minibatches instead of full-batch
+    /// epochs. Node classification and link prediction only — graph
+    /// classification already iterates over (small, whole) graphs, and
+    /// clustering's unsupervised objective is defined on the full graph.
+    /// Evaluation stays full-graph, so metrics remain comparable to the
+    /// full-batch trainers; see [`MinibatchConfig`].
     pub fn minibatch(mut self, mb: MinibatchConfig) -> Self {
         self.minibatch = Some(mb);
         self
@@ -160,10 +164,13 @@ impl TrainSession {
         self
     }
 
-    /// Resume from a checkpoint of an identical session (same task, model,
-    /// dataset identity and configuration, else [`MgError::Mismatch`]).
-    /// Only the epoch budget may grow: the continuation replays exactly
-    /// what an uninterrupted run with that budget computes.
+    /// Resume from a checkpoint written by an identical session: same
+    /// task, model, dataset identity and training configuration —
+    /// anything else is an [`MgError::Mismatch`]. The epoch budget is
+    /// the one deliberate exception: resuming with a larger `epochs`
+    /// continues an interrupted (or exhausted) run, and the continuation
+    /// replays exactly what an uninterrupted run with that budget would
+    /// have computed.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
         self
@@ -223,8 +230,6 @@ impl TrainSession {
             (kind, _) => {
                 let task = kind.task_name();
                 let detail = match mb {
-                    // graph classification already iterates over small
-                    // whole graphs; clustering's objective is full-graph
                     Some(_) => format!(
                         "minibatch sampling applies to node classification and link \
                          prediction, not {task}"

@@ -1,7 +1,11 @@
-//! Step telemetry for the mg-obs trace sink. Read-only observation: tape
-//! values the step computed and gradients backward produced, no RNG
-//! draw, so a traced run is bit-identical to an untraced one. The loop
-//! collects only when `Trace::enabled()`.
+//! Collection helpers between the trainers and the mg-obs trace sink.
+//!
+//! Everything here is *read-only observation*: helpers read tape values
+//! that the training step already computed and gradients that backward
+//! already produced, and never draw from an RNG — so a traced run is
+//! bit-identical to an untraced one (pinned by the mg-verify golden
+//! suite). Call sites gate collection on `Trace::enabled()` so disabled
+//! runs skip the work entirely.
 
 use crate::trainer::Step;
 use mg_obs::{BetaStats, EpochRecord};
