@@ -7,10 +7,10 @@
 //! cargo run --release -p mg-bench --bin infer
 //! ```
 //!
-//! `MG_BENCH_INFER_JSON` overrides the report path; `skip` suppresses
-//! the file. With `MG_TRACE` set, one `infer` record is appended to the
-//! JSONL trace. Exits non-zero when loading or serving fails.
+//! With `MG_TRACE` set, one `infer` record is appended to the JSONL
+//! trace. Exits non-zero when loading or serving fails.
 
 fn main() {
-    std::process::exit(mg_bench::inferbench::emit_default());
+    let run = || mg_bench::inferbench::run_job(0.08, 8, 16, None);
+    std::process::exit(mg_bench::report::emit("infer", run));
 }

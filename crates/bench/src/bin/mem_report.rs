@@ -2,5 +2,5 @@
 //! memory on the three golden fixtures. See `mg_bench::memreport`.
 
 fn main() {
-    std::process::exit(mg_bench::memreport::emit_default());
+    std::process::exit(mg_bench::report::emit("mem", mg_bench::memreport::run));
 }

@@ -1,18 +1,15 @@
-//! Standalone kernel-timing report: times every mg-runtime-dispatched
-//! kernel serial-vs-parallel and writes `BENCH_ops.json`.
-//!
-//! Faster than the full criterion `ops` bench when only the JSON report
-//! is wanted:
+//! Kernel-timing report: times every mg-runtime-dispatched kernel
+//! serial-vs-parallel, plus a few serial-only model-level cases, and
+//! writes `BENCH_ops.json`:
 //!
 //! ```text
 //! cargo run --release -p mg-bench --features parallel --bin ops_report
 //! ```
 //!
 //! `MG_NUM_THREADS` sizes the parallel pool (default: the host's
-//! available parallelism); `MG_BENCH_OPS_JSON` overrides the output
-//! path. When the pool is wider than the host the report suppresses
-//! speedup claims — see `mg_bench::opsbench`.
+//! available parallelism). When the pool is wider than the host the
+//! report suppresses speedup claims — see `mg_bench::opsbench`.
 
 fn main() {
-    mg_bench::opsbench::emit_default();
+    std::process::exit(mg_bench::report::emit("ops", mg_bench::opsbench::run));
 }

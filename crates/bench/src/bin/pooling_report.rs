@@ -7,10 +7,17 @@
 //! cargo run --release -p mg-bench --bin pooling_report
 //! ```
 //!
-//! `MG_BENCH_POOLING_JSON` overrides the report path; `skip` suppresses
-//! the file. Exits non-zero when any cell produces a non-finite loss or
-//! metric.
+//! Exits non-zero when any cell produces a non-finite loss or metric.
+
+use mg_bench::poolingreport::{run_matrix, MatrixConfig};
 
 fn main() {
-    std::process::exit(mg_bench::poolingreport::emit_default());
+    let run = || {
+        run_matrix(&MatrixConfig {
+            node_scale: 0.08,
+            graph_scale: 0.04,
+            epochs: 12,
+        })
+    };
+    std::process::exit(mg_bench::report::emit("pooling", run));
 }

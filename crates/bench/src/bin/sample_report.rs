@@ -2,5 +2,8 @@
 //! See [`mg_bench::samplereport`].
 
 fn main() {
-    std::process::exit(mg_bench::samplereport::emit_default());
+    std::process::exit(mg_bench::report::emit(
+        "sample",
+        mg_bench::samplereport::run,
+    ));
 }

@@ -8,10 +8,10 @@
 //! cargo run --release -p mg-bench --bin serve_report
 //! ```
 //!
-//! `MG_BENCH_SERVE_JSON` overrides the report path; `skip` suppresses
-//! the file. `MG_CKPT_PATH` supplies a compatible checkpoint to reuse.
-//! Exits non-zero when any smoke check or request fails.
+//! `MG_CKPT_PATH` supplies a compatible checkpoint to reuse. Exits
+//! non-zero when any smoke check or request fails.
 
 fn main() {
-    std::process::exit(mg_bench::servebench::emit_default());
+    let run = || mg_bench::servebench::run_job(0.08, 8, 40, &[1, 4, 16], None);
+    std::process::exit(mg_bench::report::emit("serve", run));
 }

@@ -50,7 +50,4 @@ fn main() {
         table.row(row);
     }
     println!("{}", table.render());
-    // Kernel-level serial-vs-parallel report alongside the table (set
-    // MG_BENCH_OPS_JSON=skip to suppress).
-    mg_bench::opsbench::emit_default();
 }

@@ -7,10 +7,10 @@
 //! ```
 //!
 //! When `MG_TRACE` is unset a temp-file default is installed (the
-//! binary's purpose is to exercise the trace sink). `MG_BENCH_TRAIN_JSON`
-//! overrides the report path; `skip` suppresses the file. Exits non-zero
-//! when the trace fails schema validation.
+//! binary's purpose is to exercise the trace sink). Exits non-zero when
+//! the trace fails schema validation.
 
 fn main() {
-    std::process::exit(mg_bench::trainreport::emit_default());
+    let run = || mg_bench::trainreport::run_job(0.08, 30);
+    std::process::exit(mg_bench::report::emit("train", run));
 }

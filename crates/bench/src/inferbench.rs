@@ -1,4 +1,4 @@
-//! Frozen-model inference benchmark, exported as `BENCH_infer.json`.
+//! Frozen-model inference benchmark, the body of `BENCH_infer.json`.
 //!
 //! The `infer` binary is the serving-side counterpart of `train_report`:
 //! it obtains a checkpoint (loading `MG_CKPT_PATH` when it names a
@@ -13,45 +13,18 @@
 //! Every measured forward replays the checkpoint's pinned pooling
 //! structure (AdamGNN), so serving latency here is the latency a
 //! deployment would see — no ego-network formation on the hot path.
-//! `MG_BENCH_INFER_JSON` overrides the report path (`skip` suppresses
-//! it); with `MG_TRACE` set, the job also appends one `infer` record to
-//! the JSONL trace.
+//! With `MG_TRACE` set, the job also appends one `infer` record to the
+//! JSONL trace.
 
 use mg_data::{make_node_dataset, NodeDataset, NodeDatasetKind, NodeGenConfig};
 use mg_eval::{FrozenModel, NodeModelKind, SessionKind, TrainConfig, TrainSession};
 use mg_nn::GraphCtx;
-use mg_obs::{InferRecord, Trace};
+use mg_obs::{InferRecord, Json, Trace};
 use mg_serve::{
     ApiRequest, ApiResponse, LinksRequest, LinksResponse, ModelService, NodesRequest, NodesResponse,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Everything the inference benchmark job produced.
-#[derive(Clone, Debug)]
-pub struct InferBench {
-    pub checkpoint: String,
-    /// Whether this run trained the checkpoint (vs loading an existing
-    /// compatible one from `MG_CKPT_PATH`).
-    pub trained_here: bool,
-    pub model: String,
-    pub dataset: String,
-    pub n_nodes: usize,
-    pub pinned_structure: bool,
-    /// Forward passes measured (after one untimed warm-up).
-    pub forwards: usize,
-    pub total_ns: u64,
-    /// Distinct classes among the predicted labels — a collapse to one
-    /// class flags a broken load without pinning exact accuracy.
-    pub distinct_classes: usize,
-    pub total_s: f64,
-}
-
-impl InferBench {
-    pub fn mean_forward_ms(&self) -> f64 {
-        self.total_ns as f64 / 1e6 / self.forwards.max(1) as f64
-    }
-}
 
 /// The benchmark's fixed dataset: the same seeded Cora analogue the
 /// traced-training benchmark uses, so the two reports describe one
@@ -133,15 +106,20 @@ pub(crate) fn obtain_checkpoint(
 }
 
 /// Run the inference benchmark: obtain a checkpoint, freeze it, measure
-/// `forwards` timed forward passes. `ckpt_path` overrides the
-/// environment-driven checkpoint location (tests use this to avoid
-/// cross-test env races).
+/// `forwards` timed forward passes (after one untimed warm-up) and
+/// return the report body. `ckpt_path` overrides the environment-driven
+/// checkpoint location (tests use this to avoid cross-test env races).
+///
+/// `trained_here` says whether this run trained the checkpoint (vs
+/// loading a compatible one); `distinct_classes` counts the classes
+/// among the predicted labels — a collapse to one class flags a broken
+/// load without pinning exact accuracy.
 pub fn run_job(
     scale: f64,
     epochs: usize,
     forwards: usize,
     ckpt_path: Option<&Path>,
-) -> Result<InferBench, String> {
+) -> Result<Json, String> {
     let started = Instant::now();
     let (path, ds, trained_here) = obtain_checkpoint(scale, epochs, ckpt_path)?;
 
@@ -223,103 +201,36 @@ pub fn run_job(
     }
     let total_ns = timer.elapsed().as_nanos() as u64;
 
-    let bench = InferBench {
+    let record = InferRecord {
         checkpoint: path.display().to_string(),
-        trained_here,
         model: meta_model,
         dataset: meta_dataset,
         n_nodes: ds.n(),
         pinned_structure,
         forwards,
         total_ns,
-        distinct_classes,
-        total_s: started.elapsed().as_secs_f64(),
     };
-
-    let mut trace = Trace::from_env(&svc.model().meta().task);
-    trace.infer(&InferRecord {
-        checkpoint: bench.checkpoint.clone(),
-        model: bench.model.clone(),
-        dataset: bench.dataset.clone(),
-        n_nodes: bench.n_nodes,
-        pinned_structure: bench.pinned_structure,
-        forwards: bench.forwards,
-        total_ns: bench.total_ns,
-    });
-
-    Ok(bench)
-}
-
-/// Render the `BENCH_infer.json` document.
-pub fn to_json(b: &InferBench) -> String {
-    format!(
-        "{{\n  \"task\": \"node_classification\",\n  \"model\": \"{}\",\n  \
-         \"dataset\": \"{}\",\n  \"checkpoint\": \"{}\",\n  \"trained_here\": {},\n  \
-         \"parallel_feature\": {},\n  \"n_nodes\": {},\n  \"pinned_structure\": {},\n  \
-         \"distinct_classes\": {},\n  \"forwards\": {},\n  \"total_ns\": {},\n  \
-         \"mean_forward_ms\": {:.3},\n  \"total_s\": {:.3}\n}}\n",
-        b.model,
-        b.dataset,
-        b.checkpoint.replace('\\', "/"),
-        b.trained_here,
-        cfg!(feature = "parallel"),
-        b.n_nodes,
-        b.pinned_structure,
-        b.distinct_classes,
-        b.forwards,
-        b.total_ns,
-        b.mean_forward_ms(),
-        b.total_s,
-    )
-}
-
-/// Run the default-size job and write `BENCH_infer.json` (path
-/// overridable via `MG_BENCH_INFER_JSON`; `skip` suppresses the file but
-/// still runs the measurement). Returns a process exit code.
-pub fn emit_default() -> i32 {
-    let b = match run_job(0.08, 8, 16, None) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("infer: {e}");
-            return 1;
-        }
-    };
-    eprintln!(
-        "infer: {} ({}) from {}{}, {} nodes, {} forwards, mean {:.2} ms, {} classes predicted",
-        b.model,
-        b.dataset,
-        b.checkpoint,
-        if b.trained_here {
-            " (trained this run)"
-        } else {
-            " (reused)"
-        },
-        b.n_nodes,
-        b.forwards,
-        b.mean_forward_ms(),
-        b.distinct_classes,
-    );
-    let path = std::env::var("MG_BENCH_INFER_JSON").unwrap_or_else(|_| "BENCH_infer.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&b);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
+    Trace::from_env(&svc.model().meta().task).infer(&record);
+    let mean_forward_ms = total_ns as f64 / 1e6 / forwards.max(1) as f64;
+    Ok(Json::obj([
+        ("task", "node_classification".into()),
+        ("model", record.model.into()),
+        ("dataset", record.dataset.into()),
+        ("checkpoint", record.checkpoint.into()),
+        ("trained_here", trained_here.into()),
+        ("n_nodes", record.n_nodes.into()),
+        ("pinned_structure", pinned_structure.into()),
+        ("distinct_classes", distinct_classes.into()),
+        ("forwards", forwards.into()),
+        ("total_ns", total_ns.into()),
+        ("mean_forward_ms", mean_forward_ms.into()),
+        ("total_s", started.elapsed().as_secs_f64().into()),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mg_obs::Json;
 
     /// Train-then-infer on a tiny job, then rerun against the same path:
     /// the second run must reuse the checkpoint instead of retraining.
@@ -329,27 +240,24 @@ mod tests {
             std::env::temp_dir().join(format!("mg_infer_bench_test_{}.mgc", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let first = run_job(0.03, 3, 2, Some(&path)).expect("first job runs");
-        assert!(first.trained_here);
-        assert_eq!(first.forwards, 2);
-        assert!(first.distinct_classes >= 1);
-        assert!(first.pinned_structure, "AdamGNN checkpoint pins structure");
+        assert_eq!(first.get("trained_here"), Some(&Json::Bool(true)));
+        assert_eq!(first.get("forwards").and_then(Json::as_f64), Some(2.0));
+        let classes = first.get("distinct_classes").and_then(Json::as_f64);
+        assert!(classes.unwrap() >= 1.0);
+        let pinned = first.get("pinned_structure");
+        assert_eq!(
+            pinned,
+            Some(&Json::Bool(true)),
+            "AdamGNN checkpoint pins structure"
+        );
         let second = run_job(0.03, 3, 2, Some(&path)).expect("second job runs");
-        assert!(!second.trained_here, "compatible checkpoint must be reused");
-        assert_eq!(second.model, first.model);
-        let json = to_json(&second);
-        let v = Json::parse(&json).expect("report is valid JSON");
-        assert_eq!(v.get("task").unwrap().as_str(), Some("node_classification"));
-        for key in [
-            "model",
-            "checkpoint",
-            "trained_here",
-            "forwards",
-            "mean_forward_ms",
-            "pinned_structure",
-            "n_nodes",
-        ] {
-            assert!(v.get(key).is_some(), "missing {key} in {json}");
-        }
+        let reused = second.get("trained_here");
+        assert_eq!(
+            reused,
+            Some(&Json::Bool(false)),
+            "compatible checkpoint must be reused"
+        );
+        assert_eq!(second.get("model"), first.get("model"));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -364,7 +272,12 @@ mod tests {
         run_job(0.05, 3, 1, Some(&path)).expect("seed job runs");
         // Same path, different scale: meta no longer matches.
         let b = run_job(0.03, 3, 1, Some(&path)).expect("mismatched job runs");
-        assert!(b.trained_here, "mismatched checkpoint must be retrained");
+        let retrained = b.get("trained_here");
+        assert_eq!(
+            retrained,
+            Some(&Json::Bool(true)),
+            "mismatched checkpoint must be retrained"
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -13,6 +13,11 @@
 //!
 //! Larger values track the paper's protocol more closely at the cost of
 //! wall-clock time; the defaults finish each table in minutes on a laptop.
+//!
+//! The report binaries (`ops_report`, `train_report`, `mem_report`,
+//! `sample_report`, `pooling_report`, `serve_report`, `infer`) each write
+//! one `BENCH_<name>.json` through [`report::emit`], into the directory
+//! named by `MG_BENCH_OUT_DIR` (default: the working directory).
 
 use adamgnn_core::LossWeights;
 use mg_data::{GraphGenConfig, NodeGenConfig};
@@ -22,6 +27,7 @@ pub mod inferbench;
 pub mod memreport;
 pub mod opsbench;
 pub mod poolingreport;
+pub mod report;
 pub mod samplereport;
 pub mod servebench;
 pub mod trainreport;

@@ -1,4 +1,4 @@
-//! Retained-vs-checkpointed peak-tape-memory benchmark, exported as
+//! Retained-vs-checkpointed peak-tape-memory benchmark, the body of
 //! `BENCH_mem.json`.
 //!
 //! The `mem_report` binary runs the three mg-verify fixtures (node
@@ -15,14 +15,12 @@
 //! cargo run --release -p mg-bench --bin mem_report
 //! ```
 //!
-//! `MG_BENCH_MEM_JSON` overrides the report path (`skip` suppresses the
-//! file but still runs and checks everything). The node-classification
-//! fixture (2-level AdamGNN) must show at least a 30% peak reduction or
-//! the job fails — that floor is what keeps the checkpoint scopes
-//! meaningfully placed as the forward pass evolves.
+//! The node-classification fixture (2-level AdamGNN) must show at least
+//! a 30% peak reduction or the job fails — that floor is what keeps the
+//! checkpoint scopes meaningfully placed as the forward pass evolves.
 
 use adamgnn_core::with_ckpt_tape;
-use mg_obs::validate_trace;
+use mg_obs::{validate_trace, Json};
 use mg_verify::{graph_cls_run, link_pred_run, node_cls_run, Compare, Golden};
 
 /// Minimum acceptable peak reduction on the node-classification fixture.
@@ -74,11 +72,11 @@ fn measured_run(
     Ok((golden, peak, report.epochs))
 }
 
-/// Measure all three fixtures. Fails if any task's checkpointed trace
-/// diverges from its retained trace, if checkpointing ever *raises* a
-/// peak, or if the node-classification reduction misses
-/// [`NC_REDUCTION_FLOOR`].
-pub fn run_all() -> Result<Vec<TaskMem>, String> {
+/// Measure all three fixtures and return the report body. Fails if any
+/// task's checkpointed trace diverges from its retained trace, if
+/// checkpointing ever *raises* a peak, or if the node-classification
+/// reduction misses [`NC_REDUCTION_FLOOR`].
+pub fn run() -> Result<Json, String> {
     let trace_path = std::env::temp_dir()
         .join(format!("mg_mem_report_{}.jsonl", std::process::id()))
         .to_string_lossy()
@@ -91,7 +89,20 @@ pub fn run_all() -> Result<Vec<TaskMem>, String> {
         None => std::env::remove_var("MG_TRACE"),
     }
     let _ = std::fs::remove_file(&trace_path);
-    result
+    let tasks = result?.into_iter().map(|t| {
+        Json::obj([
+            ("task", t.task.into()),
+            ("epochs", t.epochs.into()),
+            ("retained_peak_bytes", t.retained_peak.into()),
+            ("checkpointed_peak_bytes", t.checkpointed_peak.into()),
+            ("reduction", t.reduction().into()),
+            ("bitwise_identical", t.bitwise_identical.into()),
+        ])
+    });
+    Ok(Json::obj([
+        ("nc_reduction_floor", NC_REDUCTION_FLOOR.into()),
+        ("tasks", Json::Arr(tasks.collect())),
+    ]))
 }
 
 type RunFn = fn(u64) -> Golden;
@@ -147,77 +158,6 @@ fn run_all_traced(trace_path: &str) -> Result<Vec<TaskMem>, String> {
     Ok(out)
 }
 
-/// Render the `BENCH_mem.json` document.
-pub fn to_json(tasks: &[TaskMem]) -> String {
-    let rows = tasks
-        .iter()
-        .map(|t| {
-            format!(
-                "    {{\"task\": \"{}\", \"epochs\": {}, \"retained_peak_bytes\": {}, \
-                 \"checkpointed_peak_bytes\": {}, \"reduction\": {:.4}, \
-                 \"bitwise_identical\": {}}}",
-                t.task,
-                t.epochs,
-                t.retained_peak,
-                t.checkpointed_peak,
-                t.reduction(),
-                t.bitwise_identical
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"bench\": \"peak_tape_bytes\",\n  \"parallel_feature\": {},\n  \
-         \"fast_kernels_feature\": {},\n  \"nc_reduction_floor\": {:.2},\n  \
-         \"tasks\": [\n{rows}\n  ]\n}}\n",
-        cfg!(feature = "parallel"),
-        cfg!(feature = "fast-kernels"),
-        NC_REDUCTION_FLOOR,
-    )
-}
-
-/// Run the three fixtures and write `BENCH_mem.json` (path overridable
-/// via `MG_BENCH_MEM_JSON`; `skip` suppresses the file but still runs
-/// every check). Returns a process exit code.
-pub fn emit_default() -> i32 {
-    let tasks = match run_all() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mem_report: {e}");
-            return 1;
-        }
-    };
-    for t in &tasks {
-        eprintln!(
-            "mem_report: {} peak {} -> {} bytes ({:.1}% reduction, bitwise {})",
-            t.task,
-            t.retained_peak,
-            t.checkpointed_peak,
-            t.reduction() * 100.0,
-            if t.bitwise_identical {
-                "ok"
-            } else {
-                "DIVERGED"
-            },
-        );
-    }
-    let path = std::env::var("MG_BENCH_MEM_JSON").unwrap_or_else(|_| "BENCH_mem.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&tasks);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,29 +178,5 @@ mod tests {
             ..t
         };
         assert_eq!(zero.reduction(), 0.0);
-    }
-
-    #[test]
-    fn json_has_promised_fields() {
-        let tasks = vec![TaskMem {
-            task: "node_classification",
-            epochs: 8,
-            retained_peak: 1000,
-            checkpointed_peak: 600,
-            bitwise_identical: true,
-        }];
-        let json = to_json(&tasks);
-        for key in [
-            "\"bench\"",
-            "\"parallel_feature\"",
-            "\"fast_kernels_feature\"",
-            "\"nc_reduction_floor\"",
-            "\"retained_peak_bytes\"",
-            "\"checkpointed_peak_bytes\"",
-            "\"reduction\"",
-            "\"bitwise_identical\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

@@ -1,10 +1,11 @@
-//! Serial-vs-parallel kernel timings, exported as `BENCH_ops.json`.
+//! Serial-vs-parallel kernel timings, the body of `BENCH_ops.json`.
 //!
 //! The suite times each hot kernel twice in one process — under a
 //! one-thread pool (the exact serial path) and under an N-thread pool —
-//! using `mg_runtime::with_pool`, and writes a machine-readable JSON
-//! report. Both the `ops` criterion bench and the `table1` binary call
-//! [`emit_default`], so every benchmark run leaves a fresh report behind.
+//! using `mg_runtime::with_pool`. A few model-level cases (a GCN layer's
+//! forward and backward, AdamGNN's pair fitness, segment softmax, a
+//! thin matmul) are timed on the one-thread pool only. The
+//! `ops_report` binary is the report's only writer.
 //!
 //! Pool size resolution: `MG_NUM_THREADS` if set, else the host's
 //! available parallelism. A pool wider than the host cannot measure
@@ -14,31 +15,34 @@
 //! `"speedup": null` for every op rather than claiming numbers the
 //! hardware cannot support.
 
+use crate::report::host_threads;
+use adamgnn_core::{pair_fitness, AttentionParams, EgoPairs};
 use mg_graph::{gcn_norm, Topology};
+use mg_nn::{Activation, GcnLayer, GraphCtx};
+use mg_obs::Json;
 use mg_runtime::{with_pool, Pool};
-use mg_tensor::Matrix;
+use mg_tensor::{Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One kernel's serial and parallel medians.
+/// One kernel's serial and parallel medians; `parallel_ns` is `None`
+/// for a case timed serially only.
 #[derive(Clone, Debug)]
 pub struct OpTiming {
     pub op: &'static str,
     pub serial_ns: f64,
-    pub parallel_ns: f64,
+    pub parallel_ns: Option<f64>,
 }
 
 impl OpTiming {
     /// Serial / parallel ratio (>1 means the pool helped).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ns > 0.0 {
-            self.serial_ns / self.parallel_ns
-        } else {
-            0.0
-        }
+    pub fn speedup(&self) -> Option<f64> {
+        let p = self.parallel_ns?;
+        Some(if p > 0.0 { self.serial_ns / p } else { 0.0 })
     }
 }
 
@@ -103,13 +107,6 @@ fn random_graph(n: usize, m: usize, seed: u64) -> Topology {
     Topology::from_edges(n, &edges)
 }
 
-/// The host's available parallelism (1 when it cannot be determined).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The thread count the parallel half of the comparison uses:
 /// `MG_NUM_THREADS` if set, else [`host_threads`] — never oversubscribed
 /// by default, so the checked-in report's speedups are real.
@@ -120,8 +117,9 @@ pub fn pool_threads() -> usize {
     )
 }
 
-/// Time every hot kernel serial-vs-parallel. `samples` is the number of
-/// timed repetitions per kernel (the median is reported).
+/// Time every hot kernel serial-vs-parallel, then the serial-only
+/// cases. `samples` is the number of timed repetitions per kernel (the
+/// median is reported).
 pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     let serial = Arc::new(Pool::new(1));
     let pool = Arc::new(Pool::new(threads));
@@ -135,9 +133,9 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     let big = Matrix::uniform(1000, 512, -1.0, 1.0, &mut rng);
 
     let mut out = Vec::new();
-    let mut record = |op: &'static str, f: &dyn Fn()| {
+    let mut record = |op: &'static str, parallel: bool, f: &dyn Fn()| {
         let serial_ns = with_pool(serial.clone(), || median_ns(samples, f));
-        let parallel_ns = with_pool(pool.clone(), || median_ns(samples, f));
+        let parallel_ns = parallel.then(|| with_pool(pool.clone(), || median_ns(samples, f)));
         out.push(OpTiming {
             op,
             serial_ns,
@@ -145,26 +143,60 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
         });
     };
 
-    record("matmul_512x512x512", &|| {
+    record("matmul_512x512x512", true, &|| {
         black_box(a512.matmul(&b512));
     });
-    record("matmul_tn_512", &|| {
+    record("matmul_tn_512", true, &|| {
         black_box(a512.matmul_tn(&b512));
     });
-    record("matmul_nt_512", &|| {
+    record("matmul_nt_512", true, &|| {
         black_box(a512.matmul_nt(&b512));
     });
-    record("spmm_2k_nodes_8k_edges_d64", &|| {
+    record("spmm_2k_nodes_8k_edges_d64", true, &|| {
         black_box(norm.csr.spmm(&norm.values, &x));
     });
-    record("spmm_t_2k_nodes_8k_edges_d64", &|| {
+    record("spmm_t_2k_nodes_8k_edges_d64", true, &|| {
         black_box(norm.csr.spmm_t(&norm.values, &x));
     });
-    record("map_512k_elems", &|| {
+    record("map_512k_elems", true, &|| {
         black_box(big.map(|v| (v * 0.5).tanh()));
     });
-    record("zip_512k_elems", &|| {
+    record("zip_512k_elems", true, &|| {
         black_box(big.zip(&big, |p, q| p * q + 0.5 * p));
+    });
+
+    let (a, b) = (
+        Matrix::uniform(512, 256, -1.0, 1.0, &mut rng),
+        Matrix::uniform(256, 64, -1.0, 1.0, &mut rng),
+    );
+    record("matmul_512x256x64", false, &|| {
+        black_box(a.matmul(&b));
+    });
+    let ctx = GraphCtx::new(g.clone(), x.clone());
+    let mut store = ParamStore::new();
+    let layer = GcnLayer::new(&mut store, "b", 64, 64, Activation::Relu, &mut rng);
+    let params = AttentionParams::new(&mut store, "fit", 64, &mut rng);
+    record("gcn_layer_fwd_bwd_2k_nodes", false, &|| {
+        let tape = Tape::new();
+        let bind = store.bind(&tape);
+        let xv = ctx.x_var(&tape);
+        let h = layer.forward(&tape, &bind, &ctx, xv);
+        let loss = tape.mean_all(h);
+        black_box(tape.backward(loss));
+    });
+    let pairs = EgoPairs::build(&g, 1);
+    record("adamgnn_pair_fitness_16k_pairs", false, &|| {
+        let tape = Tape::new();
+        let bind = store.bind(&tape);
+        let h = tape.constant(x.clone());
+        black_box(pair_fitness(&tape, &bind, &params, &pairs, h, 2000));
+    });
+    let scores = Matrix::uniform(16000, 1, -2.0, 2.0, &mut rng);
+    let seg: Rc<Vec<usize>> = Rc::new((0..16000).map(|_| rng.random_range(0..2000)).collect());
+    record("segment_softmax_16k_entries", false, &|| {
+        let tape = Tape::new();
+        let s = tape.constant(scores.clone());
+        black_box(tape.segment_softmax(s, seg.clone(), 2000));
     });
     out
 }
@@ -261,133 +293,101 @@ pub fn oversubscription_warning(pool: usize, host: usize) -> Option<String> {
     })
 }
 
-/// Render the suite results as the `BENCH_ops.json` document.
+/// The `BENCH_ops.json` body.
 ///
 /// When the pool is wider than the host the report refuses to claim
-/// speedups: every op gets `"speedup": null` and a top-level `warning`
-/// explains why (see [`oversubscription_warning`]).
-pub fn to_json(threads: usize, timings: &[OpTiming], variants: &[VariantTiming]) -> String {
-    let host = host_threads();
-    let warning = oversubscription_warning(threads, host);
-    let entries: Vec<String> = timings
-        .iter()
-        .map(|t| {
-            let speedup = match warning {
-                Some(_) => "null".to_string(),
-                None => format!("{:.3}", t.speedup()),
-            };
-            format!(
-                "    {{\"op\": \"{}\", \"serial_ns\": {:.0}, \"parallel_ns\": {:.0}, \
-                 \"speedup\": {speedup}}}",
-                t.op, t.serial_ns, t.parallel_ns,
-            )
-        })
-        .collect();
-    // Variant comparisons are single-threaded, so their speedups are
-    // real regardless of oversubscription.
-    let variant_entries: Vec<String> = variants
-        .iter()
-        .map(|v| {
-            format!(
-                "    {{\"op\": \"{}\", \"baseline\": \"{}\", \"variant\": \"{}\", \
-                 \"baseline_ns\": {:.0}, \"variant_ns\": {:.0}, \"speedup\": {:.3}}}",
-                v.op,
-                v.baseline,
-                v.variant,
-                v.baseline_ns,
-                v.variant_ns,
-                v.speedup(),
-            )
-        })
-        .collect();
-    let warning_line = match &warning {
-        Some(w) => format!("  \"warning\": \"{w}\",\n"),
-        None => String::new(),
-    };
-    format!(
-        "{{\n  \"host_threads\": {host},\n  \"pool_threads\": {threads},\n  \
-         \"parallel_feature\": {},\n  \"fast_kernels_feature\": {},\n{warning_line}  \
-         \"ops\": [\n{}\n  ],\n  \"kernel_variants\": [\n{}\n  ]\n}}\n",
-        cfg!(feature = "parallel"),
-        cfg!(feature = "fast-kernels"),
-        entries.join(",\n"),
-        variant_entries.join(",\n")
-    )
+/// speedups: every op gets `"speedup": null` and `warning` explains why
+/// (see [`oversubscription_warning`]). Variant comparisons are
+/// single-threaded, so their speedups are real regardless.
+pub fn report(threads: usize, timings: &[OpTiming], variants: &[VariantTiming]) -> Json {
+    let warning = oversubscription_warning(threads, host_threads());
+    let oversubscribed = warning.is_some();
+    let ops = timings.iter().map(|t| {
+        Json::obj([
+            ("op", t.op.into()),
+            ("serial_ns", t.serial_ns.into()),
+            ("parallel_ns", t.parallel_ns.into()),
+            ("speedup", t.speedup().filter(|_| !oversubscribed).into()),
+        ])
+    });
+    let variants = variants.iter().map(|v| {
+        Json::obj([
+            ("op", v.op.into()),
+            ("baseline", v.baseline.into()),
+            ("variant", v.variant.into()),
+            ("baseline_ns", v.baseline_ns.into()),
+            ("variant_ns", v.variant_ns.into()),
+            ("speedup", v.speedup().into()),
+        ])
+    });
+    Json::obj([
+        ("pool_threads", threads.into()),
+        ("warning", warning.into()),
+        ("ops", Json::Arr(ops.collect())),
+        ("kernel_variants", Json::Arr(variants.collect())),
+    ])
 }
 
-/// Run the suite with default settings and write `BENCH_ops.json` (path
-/// overridable via `MG_BENCH_OPS_JSON`). Prints a short summary table to
-/// stderr. Skips silently when `MG_BENCH_OPS_JSON` is set to `skip`.
-pub fn emit_default() {
-    let path = std::env::var("MG_BENCH_OPS_JSON").unwrap_or_else(|_| "BENCH_ops.json".into());
-    if path == "skip" {
-        return;
-    }
+/// Run both suites at the default settings (7 timed samples per kernel).
+pub fn run() -> Result<Json, String> {
     let threads = pool_threads();
-    let timings = run_suite(threads, 7);
-    for t in &timings {
-        eprintln!(
-            "ops {:<30} serial {:>12.0} ns   parallel({threads}t) {:>12.0} ns   x{:.2}",
-            t.op,
-            t.serial_ns,
-            t.parallel_ns,
-            t.speedup()
-        );
-    }
-    let variants = run_variant_suite(7);
-    for v in &variants {
-        eprintln!(
-            "var {:<38} {:<13} {:>12.0} ns   {:<8} {:>12.0} ns   x{:.2}",
-            v.op,
-            v.baseline,
-            v.baseline_ns,
-            v.variant,
-            v.variant_ns,
-            v.speedup()
-        );
-    }
-    if let Some(w) = oversubscription_warning(threads, host_threads()) {
-        eprintln!("warning: {w}");
-    }
-    let json = to_json(threads, &timings, &variants);
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    Ok(report(
+        threads,
+        &run_suite(threads, 7),
+        &run_variant_suite(7),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ops(v: &Json, table: &str) -> Vec<String> {
+        let rows = v.get(table).and_then(Json::as_arr).unwrap();
+        let op = |r: &Json| r.get("op").and_then(Json::as_str).unwrap().to_string();
+        rows.iter().map(op).collect()
+    }
+
     #[test]
-    fn suite_reports_all_ops_and_valid_json_shape() {
+    fn suite_reports_all_ops() {
         let timings = run_suite(2, 1);
-        assert!(timings.len() >= 5);
-        assert!(timings
+        assert!(timings.iter().all(|t| t.serial_ns > 0.0));
+        // the serial-only cases come last and have no parallel half
+        let serial_only = timings.iter().filter(|t| t.parallel_ns.is_none()).count();
+        assert_eq!(serial_only, 4);
+        assert!(timings[..timings.len() - 4]
             .iter()
-            .all(|t| t.serial_ns > 0.0 && t.parallel_ns > 0.0));
-        let json = to_json(2, &timings, &[]);
-        assert!(json.contains("\"pool_threads\": 2"));
-        assert!(json.contains("\"op\": \"matmul_512x512x512\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"kernel_variants\""));
+            .all(|t| t.parallel_ns.is_some_and(|p| p > 0.0)));
+        let v = report(2, &timings, &[]);
+        assert_eq!(v.get("pool_threads").and_then(Json::as_f64), Some(2.0));
+        let names = ops(&v, "ops");
+        for op in ["matmul_512x512x512", "gcn_layer_fwd_bwd_2k_nodes"] {
+            assert!(names.iter().any(|n| n == op), "{op}");
+        }
     }
 
     #[test]
     fn variant_suite_covers_blocked_and_fused() {
         let variants = run_variant_suite(1);
-        let ops: Vec<_> = variants.iter().map(|v| v.op).collect();
-        assert!(ops.contains(&"matmul_512x512x512"));
-        assert!(ops.contains(&"matmul_tn_512"));
-        assert!(ops.contains(&"matmul_nt_512"));
-        assert!(ops.contains(&"spmm_bias_relu_2k_nodes_8k_edges_d64"));
         assert!(variants
             .iter()
             .all(|v| v.baseline_ns > 0.0 && v.variant_ns > 0.0));
-        let json = to_json(1, &[], &variants);
-        assert!(json.contains("\"baseline\": \"scalar\""));
-        assert!(json.contains("\"variant\": \"fused\""));
+        let v = report(1, &[], &variants);
+        assert_eq!(
+            ops(&v, "kernel_variants"),
+            [
+                "matmul_512x512x512",
+                "matmul_tn_512",
+                "matmul_nt_512",
+                "spmm_bias_relu_2k_nodes_8k_edges_d64"
+            ]
+        );
+        let rows = v.get("kernel_variants").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            rows[0].get("baseline").and_then(Json::as_str),
+            Some("scalar")
+        );
+        assert_eq!(rows[3].get("variant").and_then(Json::as_str), Some("fused"));
     }
 
     #[test]
@@ -402,22 +402,25 @@ mod tests {
     }
 
     #[test]
-    fn json_refuses_speedup_claims_when_oversubscribed() {
+    fn report_refuses_speedup_claims_when_oversubscribed() {
         let timings = vec![OpTiming {
             op: "fake_op",
             serial_ns: 100.0,
-            parallel_ns: 50.0,
+            parallel_ns: Some(50.0),
         }];
+        let speedup = |v: &Json| {
+            v.get("ops").unwrap().as_arr().unwrap()[0]
+                .get("speedup")
+                .cloned()
+        };
         // pool wider than the host: warning present, speedups nulled
-        let over = to_json(host_threads() + 1, &timings, &[]);
-        assert!(over.contains("\"warning\""));
-        assert!(over.contains("oversubscription"));
-        assert!(over.contains("\"speedup\": null"));
-        assert!(!over.contains("\"speedup\": 2.000"));
+        let over = report(host_threads() + 1, &timings, &[]);
+        let warning = over.get("warning").and_then(Json::as_str).unwrap();
+        assert!(warning.contains("oversubscription"));
+        assert_eq!(speedup(&over), Some(Json::Null));
         // a pool the host can actually run: numeric speedup, no warning
-        let ok = to_json(1, &timings, &[]);
-        assert!(!ok.contains("\"warning\""));
-        assert!(ok.contains("\"speedup\": 2.000"));
-        assert!(ok.contains(&format!("\"host_threads\": {}", host_threads())));
+        let ok = report(1, &timings, &[]);
+        assert_eq!(ok.get("warning"), Some(&Json::Null));
+        assert_eq!(speedup(&ok), Some(Json::Num(2.0)));
     }
 }

@@ -1,4 +1,4 @@
-//! Table-4-style pooling-operator benchmark matrix, exported as
+//! Table-4-style pooling-operator benchmark matrix, the body of
 //! `BENCH_pooling.json`.
 //!
 //! The `pooling_report` binary trains the same three tasks — node
@@ -13,34 +13,22 @@
 //! cargo run --release -p mg-bench --bin pooling_report
 //! ```
 //!
-//! `MG_BENCH_POOLING_JSON` overrides the report path (`skip` suppresses
-//! the file but still runs the matrix). The run **fails** (non-zero
-//! exit) if any cell's training loss or metric goes non-finite — a rival
-//! operator that diverges is a bug in the operator, not a benchmark
-//! result.
+//! The run **fails** (non-zero exit) if any cell's training loss or
+//! metric goes non-finite — a rival operator that diverges is a bug in
+//! the operator, not a benchmark result. The trainer rejects a
+//! non-finite loss and the report writer a non-finite metric.
 
 use adamgnn_core::PoolingKind;
 use mg_data::{
     make_graph_dataset, make_node_dataset, GraphDatasetKind, GraphGenConfig, NodeDatasetKind,
     NodeGenConfig,
 };
-use mg_eval::{GraphModelKind, NodeModelKind, SessionKind, TrainConfig, TrainSession};
+use mg_eval::{GraphModelKind, NodeModelKind, RunOutcome, SessionKind, TrainConfig, TrainSession};
+use mg_obs::Json;
 use std::time::Instant;
 
-/// One (task, operator) cell of the matrix.
-#[derive(Clone, Debug)]
-pub struct PoolingCell {
-    pub task: &'static str,
-    pub pooling: &'static str,
-    pub val_metric: f64,
-    pub test_metric: f64,
-    pub epochs_run: usize,
-    /// Mean wall-clock seconds per training epoch (Table 4's metric).
-    pub mean_epoch_s: f64,
-}
-
-/// Sizing knobs: the binary uses [`emit_default`]'s settings, tests
-/// shrink both.
+/// Sizing knobs: the binary uses scales 0.08/0.04 and 12 epochs, tests
+/// shrink all three.
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixConfig {
     pub node_scale: f64,
@@ -61,29 +49,24 @@ fn train_cfg(epochs: usize, seed: u64, pooling: PoolingKind) -> TrainConfig {
     }
 }
 
-/// Reject a cell whose run produced any non-finite loss or metric.
-fn check_finite(cell: &PoolingCell, trace_losses: &[f64]) -> Result<(), String> {
-    for (i, &l) in trace_losses.iter().enumerate() {
-        if !l.is_finite() {
-            return Err(format!(
-                "{} / {}: non-finite training loss {l} at epoch {i}",
-                cell.task, cell.pooling
-            ));
-        }
-    }
-    if !(cell.val_metric.is_finite() && cell.test_metric.is_finite()) {
-        return Err(format!(
-            "{} / {}: non-finite metric (val {}, test {})",
-            cell.task, cell.pooling, cell.val_metric, cell.test_metric
-        ));
-    }
-    Ok(())
+/// One (task, operator) cell of the matrix; `mean_epoch_s` is the mean
+/// wall-clock seconds per training epoch (Table 4's metric).
+fn cell(task: &str, kind: PoolingKind, res: &RunOutcome, mean_epoch_s: f64) -> Json {
+    Json::obj([
+        ("task", task.into()),
+        ("pooling", kind.name().into()),
+        ("val_metric", res.val_metric.unwrap_or(f64::NAN).into()),
+        ("test_metric", res.test_metric.into()),
+        ("epochs_run", res.epochs_run.into()),
+        ("mean_epoch_s", mean_epoch_s.into()),
+    ])
 }
 
-/// Run the full task × operator matrix. Within a task every operator
-/// sees the identical dataset, split seeds and budget, so the cells are
-/// directly comparable.
-pub fn run_matrix(cfg: &MatrixConfig) -> Result<Vec<PoolingCell>, String> {
+/// Run the full task × operator matrix and return the report body, one
+/// cell per (task, operator) in matrix order. Within a task every
+/// operator sees the identical dataset, split seeds and budget, so the
+/// cells are directly comparable.
+pub fn run_matrix(cfg: &MatrixConfig) -> Result<Json, String> {
     let node_ds = make_node_dataset(
         NodeDatasetKind::Cora,
         &NodeGenConfig {
@@ -119,19 +102,8 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<Vec<PoolingCell>, String> {
         )
         .run(&node_ds)
         .map_err(|e| format!("node_classification / {}: {e}", kind.name()))?;
-        let cell = PoolingCell {
-            task: "node_classification",
-            pooling: kind.name(),
-            val_metric: res.val_metric.unwrap_or(f64::NAN),
-            test_metric: res.test_metric,
-            epochs_run: res.epochs_run,
-            mean_epoch_s: started.elapsed().as_secs_f64() / res.epochs_run.max(1) as f64,
-        };
-        check_finite(
-            &cell,
-            &res.trace.records.iter().map(|r| r.loss).collect::<Vec<_>>(),
-        )?;
-        cells.push(cell);
+        let epoch_s = started.elapsed().as_secs_f64() / res.epochs_run.max(1) as f64;
+        cells.push(cell("node_classification", kind, &res, epoch_s));
 
         // link prediction
         let started = Instant::now();
@@ -141,19 +113,8 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<Vec<PoolingCell>, String> {
         )
         .run(&link_ds)
         .map_err(|e| format!("link_prediction / {}: {e}", kind.name()))?;
-        let cell = PoolingCell {
-            task: "link_prediction",
-            pooling: kind.name(),
-            val_metric: res.val_metric.unwrap_or(f64::NAN),
-            test_metric: res.test_metric,
-            epochs_run: res.epochs_run,
-            mean_epoch_s: started.elapsed().as_secs_f64() / res.epochs_run.max(1) as f64,
-        };
-        check_finite(
-            &cell,
-            &res.trace.records.iter().map(|r| r.loss).collect::<Vec<_>>(),
-        )?;
-        cells.push(cell);
+        let epoch_s = started.elapsed().as_secs_f64() / res.epochs_run.max(1) as f64;
+        cells.push(cell("link_prediction", kind, &res, epoch_s));
 
         // graph classification (epoch timing straight from the trainer,
         // which excludes evaluation — the Table 4 protocol)
@@ -163,120 +124,36 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<Vec<PoolingCell>, String> {
         )
         .run(&graph_ds)
         .map_err(|e| format!("graph_classification / {}: {e}", kind.name()))?;
-        let cell = PoolingCell {
-            task: "graph_classification",
-            pooling: kind.name(),
-            val_metric: res.val_metric.unwrap_or(f64::NAN),
-            test_metric: res.test_metric,
-            epochs_run: res.epochs_run,
-            mean_epoch_s: res.epoch_seconds.unwrap_or(f64::NAN),
-        };
-        check_finite(
-            &cell,
-            &res.trace.records.iter().map(|r| r.loss).collect::<Vec<_>>(),
-        )?;
-        cells.push(cell);
+        let epoch_s = res.epoch_seconds.unwrap_or(f64::NAN);
+        cells.push(cell("graph_classification", kind, &res, epoch_s));
     }
-    Ok(cells)
-}
-
-/// Render the `BENCH_pooling.json` document: one row per (task,
-/// operator) cell, in matrix order.
-pub fn to_json(cells: &[PoolingCell]) -> String {
-    let rows = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"task\": \"{}\", \"pooling\": \"{}\", \"val_metric\": {:.6}, \
-                 \"test_metric\": {:.6}, \"epochs_run\": {}, \"mean_epoch_s\": {:.6}}}",
-                c.task, c.pooling, c.val_metric, c.test_metric, c.epochs_run, c.mean_epoch_s
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"parallel_feature\": {},\n  \"operators\": [{}],\n  \"cells\": [\n{rows}\n  ]\n}}\n",
-        cfg!(feature = "parallel"),
-        PoolingKind::ALL
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    )
-}
-
-/// Run the default-size matrix and write `BENCH_pooling.json` (path
-/// overridable via `MG_BENCH_POOLING_JSON`; `skip` suppresses the file
-/// but still runs — and finiteness-checks — every cell). Returns a
-/// process exit code.
-pub fn emit_default() -> i32 {
-    let cells = match run_matrix(&MatrixConfig {
-        node_scale: 0.08,
-        graph_scale: 0.04,
-        epochs: 12,
-    }) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pooling_report: {e}");
-            return 1;
-        }
-    };
-    for c in &cells {
-        eprintln!(
-            "pooling_report: {:22} {:8} val {:.4} test {:.4} ({} epochs, {:.1} ms/epoch)",
-            c.task,
-            c.pooling,
-            c.val_metric,
-            c.test_metric,
-            c.epochs_run,
-            c.mean_epoch_s * 1e3,
-        );
-    }
-    let path =
-        std::env::var("MG_BENCH_POOLING_JSON").unwrap_or_else(|_| "BENCH_pooling.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&cells);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
+    let operators = PoolingKind::ALL.map(|k| k.name()).to_vec();
+    Ok(Json::obj([
+        ("operators", operators.into()),
+        ("cells", cells.into()),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A tiny matrix end to end: all nine cells run, every metric is
-    /// finite, and the JSON carries one row per cell.
+    /// A tiny matrix end to end: all nine cells run, three per operator.
     #[test]
     fn tiny_matrix_produces_all_nine_cells() {
-        let cells = run_matrix(&MatrixConfig {
+        let v = run_matrix(&MatrixConfig {
             node_scale: 0.03,
             graph_scale: 0.02,
             epochs: 2,
         })
         .expect("matrix runs");
+        let cells = v.get("cells").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 9);
+        let ops = v.get("operators").and_then(Json::as_arr).unwrap();
+        assert_eq!(ops.len(), PoolingKind::ALL.len());
         for kind in PoolingKind::ALL {
-            assert_eq!(cells.iter().filter(|c| c.pooling == kind.name()).count(), 3);
-        }
-        let json = to_json(&cells);
-        assert_eq!(json.matches("\"task\"").count(), 9);
-        for key in [
-            "\"pooling\"",
-            "\"val_metric\"",
-            "\"mean_epoch_s\"",
-            "\"operators\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+            let of_kind = |c: &&Json| c.get("pooling").and_then(Json::as_str) == Some(kind.name());
+            assert_eq!(cells.iter().filter(of_kind).count(), 3);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Sampled-minibatch quality and scalability report, exported as
+//! Sampled-minibatch quality and scalability report, the body of
 //! `BENCH_sample.json`.
 //!
 //! The `sample_report` binary answers two questions the minibatch path
@@ -18,12 +18,10 @@
 //! ```text
 //! cargo run --release -p mg-bench --bin sample_report
 //! ```
-//!
-//! `MG_BENCH_SAMPLE_JSON` overrides the report path (`skip` suppresses
-//! the file but still runs every check).
 
 use mg_data::{make_node_dataset, BigGraph, BigGraphConfig, NodeDatasetKind, NodeGenConfig};
 use mg_eval::{MinibatchConfig, NodeModelKind, SessionKind, TrainConfig, TrainSession};
+use mg_obs::Json;
 
 /// Maximum allowed shortfall of the sampled run's best validation metric
 /// against the full-batch run's (2 accuracy/AUC points). A sampled run
@@ -49,19 +47,20 @@ impl TaskGap {
     pub fn gap(&self) -> f64 {
         self.full_val - self.sampled_val
     }
-}
 
-/// The million-node streaming + sampled-epoch measurement.
-#[derive(Clone, Debug)]
-pub struct BigGraphRun {
-    pub nodes: usize,
-    pub edges: usize,
-    pub byte_budget: usize,
-    pub peak_bytes: usize,
-    pub steps: usize,
-    pub mean_loss: f64,
-    pub sampled_nodes: usize,
-    pub truncated: usize,
+    fn json(&self) -> Json {
+        Json::obj([
+            ("task", self.task.into()),
+            ("epochs", self.epochs.into()),
+            ("batch_size", self.batch_size.into()),
+            ("fanouts", self.fanouts.clone().into()),
+            ("full_val", self.full_val.into()),
+            ("sampled_val", self.sampled_val.into()),
+            ("gap", self.gap().into()),
+            ("full_test", self.full_test.into()),
+            ("sampled_test", self.sampled_test.into()),
+        ])
+    }
 }
 
 fn fixture_gap(
@@ -123,7 +122,8 @@ fn fixture_gap(
     Ok(out)
 }
 
-fn big_graph_epoch() -> Result<BigGraphRun, String> {
+/// The million-node streaming + sampled-epoch measurement.
+fn big_graph_epoch() -> Result<Json, String> {
     let cfg = BigGraphConfig::default();
     let big = BigGraph::generate(&cfg);
     if big.peak_bytes > cfg.byte_budget {
@@ -148,20 +148,21 @@ fn big_graph_epoch() -> Result<BigGraphRun, String> {
         mg_eval::sampled_epochs_streamed(&big, NodeModelKind::AdamGnn, &train_cfg, &mb, 1024)
             .map_err(|e| format!("million-node sampled epoch failed: {e}"))?;
     use mg_data::NodeFeatureSource;
-    Ok(BigGraphRun {
-        nodes: big.n(),
-        edges: big.graph().num_edges(),
-        byte_budget: cfg.byte_budget,
-        peak_bytes: big.peak_bytes,
-        steps: epoch.steps,
-        mean_loss: epoch.mean_loss,
-        sampled_nodes: epoch.sampled_nodes,
-        truncated: epoch.truncated,
-    })
+    Ok(Json::obj([
+        ("nodes", big.n().into()),
+        ("edges", big.graph().num_edges().into()),
+        ("byte_budget", cfg.byte_budget.into()),
+        ("peak_bytes", big.peak_bytes.into()),
+        ("steps", epoch.steps.into()),
+        ("mean_loss", epoch.mean_loss.into()),
+        ("sampled_nodes", epoch.sampled_nodes.into()),
+        ("truncated", epoch.truncated.into()),
+    ]))
 }
 
-/// Run both fixture comparisons and the million-node epoch.
-pub fn run_all() -> Result<(Vec<TaskGap>, BigGraphRun), String> {
+/// Run both fixture comparisons and the million-node epoch, and return
+/// the report body.
+pub fn run() -> Result<Json, String> {
     let nc = fixture_gap(
         "node_classification",
         SessionKind::NodeClassification(NodeModelKind::AdamGnn),
@@ -178,151 +179,29 @@ pub fn run_all() -> Result<(Vec<TaskGap>, BigGraphRun), String> {
         2,
         12,
     )?;
-    let big = big_graph_epoch()?;
-    Ok((vec![nc, lp], big))
-}
-
-/// Render the `BENCH_sample.json` document.
-pub fn to_json(tasks: &[TaskGap], big: &BigGraphRun) -> String {
-    let rows = tasks
-        .iter()
-        .map(|t| {
-            let fans = t
-                .fanouts
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "    {{\"task\": \"{}\", \"epochs\": {}, \"batch_size\": {}, \
-                 \"fanouts\": [{fans}], \"full_val\": {:.6}, \"sampled_val\": {:.6}, \
-                 \"gap\": {:.6}, \"full_test\": {:.6}, \"sampled_test\": {:.6}}}",
-                t.task,
-                t.epochs,
-                t.batch_size,
-                t.full_val,
-                t.sampled_val,
-                t.gap(),
-                t.full_test,
-                t.sampled_test
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"bench\": \"sampled_minibatch\",\n  \"parallel_feature\": {},\n  \
-         \"fast_kernels_feature\": {},\n  \"gap_tolerance\": {:.2},\n  \
-         \"tasks\": [\n{rows}\n  ],\n  \"big_graph\": {{\"nodes\": {}, \"edges\": {}, \
-         \"byte_budget\": {}, \"peak_bytes\": {}, \"steps\": {}, \"mean_loss\": {:.6}, \
-         \"sampled_nodes\": {}, \"truncated\": {}}}\n}}\n",
-        cfg!(feature = "parallel"),
-        cfg!(feature = "fast-kernels"),
-        GAP_TOLERANCE,
-        big.nodes,
-        big.edges,
-        big.byte_budget,
-        big.peak_bytes,
-        big.steps,
-        big.mean_loss,
-        big.sampled_nodes,
-        big.truncated,
-    )
-}
-
-/// Run everything and write `BENCH_sample.json` (path overridable via
-/// `MG_BENCH_SAMPLE_JSON`; `skip` suppresses the file but still runs
-/// every check). Returns a process exit code.
-pub fn emit_default() -> i32 {
-    let (tasks, big) = match run_all() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sample_report: {e}");
-            return 1;
-        }
-    };
-    for t in &tasks {
-        eprintln!(
-            "sample_report: {} full val {:.4} vs sampled val {:.4} (gap {:+.4})",
-            t.task,
-            t.full_val,
-            t.sampled_val,
-            t.gap()
-        );
-    }
-    eprintln!(
-        "sample_report: {} nodes / {} edges streamed at peak {} of {} bytes; \
-         {} sampled steps, mean loss {:.4}",
-        big.nodes, big.edges, big.peak_bytes, big.byte_budget, big.steps, big.mean_loss
-    );
-    let path = std::env::var("MG_BENCH_SAMPLE_JSON").unwrap_or_else(|_| "BENCH_sample.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&tasks, &big);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
+    Ok(Json::obj([
+        ("gap_tolerance", GAP_TOLERANCE.into()),
+        ("tasks", Json::Arr(vec![nc.json(), lp.json()])),
+        ("big_graph", big_graph_epoch()?),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_rows() -> (Vec<TaskGap>, BigGraphRun) {
-        (
-            vec![TaskGap {
-                task: "node_classification",
-                full_val: 0.8,
-                sampled_val: 0.79,
-                full_test: 0.75,
-                sampled_test: 0.74,
-                batch_size: 32,
-                fanouts: vec![12, 12],
-                epochs: 20,
-            }],
-            BigGraphRun {
-                nodes: 1_000_000,
-                edges: 3_900_000,
-                byte_budget: 256 << 20,
-                peak_bytes: 100 << 20,
-                steps: 8,
-                mean_loss: 2.1,
-                sampled_nodes: 40_000,
-                truncated: 12,
-            },
-        )
-    }
-
     #[test]
     fn gap_math() {
-        let (tasks, _) = sample_rows();
-        assert!((tasks[0].gap() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_has_promised_fields() {
-        let (tasks, big) = sample_rows();
-        let json = to_json(&tasks, &big);
-        for key in [
-            "\"bench\"",
-            "\"gap_tolerance\"",
-            "\"full_val\"",
-            "\"sampled_val\"",
-            "\"gap\"",
-            "\"fanouts\"",
-            "\"big_graph\"",
-            "\"byte_budget\"",
-            "\"peak_bytes\"",
-            "\"mean_loss\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let t = TaskGap {
+            task: "node_classification",
+            full_val: 0.8,
+            sampled_val: 0.79,
+            full_test: 0.75,
+            sampled_test: 0.74,
+            batch_size: 32,
+            fanouts: vec![12, 12],
+            epochs: 20,
+        };
+        assert!((t.gap() - 0.01).abs() < 1e-12);
     }
 }

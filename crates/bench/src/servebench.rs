@@ -1,4 +1,4 @@
-//! Online-serving benchmark, exported as `BENCH_serve.json`.
+//! Online-serving benchmark, the body of `BENCH_serve.json`.
 //!
 //! The `serve_report` binary is the online counterpart of `infer`: it
 //! obtains the same benchmark checkpoint (reusing `MG_CKPT_PATH` when
@@ -15,8 +15,7 @@
 //! Per level the report records throughput and p50/p99 latency; the
 //! final `/statsz` scrape contributes the flush-size histogram, which is
 //! the direct evidence of micro-batching (higher concurrency → more
-//! multi-request flushes). `MG_BENCH_SERVE_JSON` overrides the report
-//! path (`skip` suppresses it).
+//! multi-request flushes).
 
 use crate::inferbench::obtain_checkpoint;
 use mg_eval::FrozenModel;
@@ -34,37 +33,6 @@ pub fn prepare_checkpoint(
     epochs: usize,
 ) -> Result<(PathBuf, mg_data::NodeDataset, bool), String> {
     obtain_checkpoint(scale, epochs, None)
-}
-
-/// One concurrency level's measurements.
-#[derive(Clone, Debug)]
-pub struct LevelStats {
-    pub concurrency: usize,
-    pub requests: usize,
-    pub wall_s: f64,
-    pub throughput_rps: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-}
-
-/// Everything the serving benchmark produced.
-#[derive(Clone, Debug)]
-pub struct ServeBench {
-    pub checkpoint: String,
-    pub trained_here: bool,
-    pub model: String,
-    pub dataset: String,
-    pub n_nodes: usize,
-    pub max_batch: usize,
-    pub max_wait_us: u64,
-    /// Contract checks performed by the smoke phase (valid requests
-    /// answered, invalid ones rejected with the right typed code).
-    pub smoke_checks: usize,
-    pub levels: Vec<LevelStats>,
-    /// flush size -> flush count, from the final `/statsz` scrape.
-    pub batch_hist: Vec<(usize, u64)>,
-    pub flushes: u64,
-    pub total_s: f64,
 }
 
 fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
@@ -173,12 +141,13 @@ fn smoke(addr: SocketAddr, n_nodes: usize) -> Result<usize, String> {
 
 /// Drive one concurrency level: `concurrency` keep-alive clients, each
 /// issuing `per_client` requests, every response checked for 200.
+/// Returns the level's throughput and p50/p99 latency.
 fn drive_level(
     addr: SocketAddr,
     n_nodes: usize,
     concurrency: usize,
     per_client: usize,
-) -> Result<LevelStats, String> {
+) -> Result<Json, String> {
     let wall = Instant::now();
     let workers: Vec<_> = (0..concurrency)
         .map(|w| {
@@ -206,24 +175,27 @@ fn drive_level(
     }
     let wall_s = wall.elapsed().as_secs_f64();
     latencies.sort_unstable();
-    Ok(LevelStats {
-        concurrency,
-        requests: latencies.len(),
-        wall_s,
-        throughput_rps: latencies.len() as f64 / wall_s.max(1e-9),
-        p50_ms: percentile_ms(&latencies, 50.0),
-        p99_ms: percentile_ms(&latencies, 99.0),
-    })
+    Ok(Json::obj([
+        ("concurrency", concurrency.into()),
+        ("requests", latencies.len().into()),
+        ("wall_s", wall_s.into()),
+        (
+            "throughput_rps",
+            (latencies.len() as f64 / wall_s.max(1e-9)).into(),
+        ),
+        ("p50_ms", percentile_ms(&latencies, 50.0).into()),
+        ("p99_ms", percentile_ms(&latencies, 99.0).into()),
+    ]))
 }
 
-/// Run the serving benchmark end to end.
+/// Run the serving benchmark end to end and return the report body.
 pub fn run_job(
     scale: f64,
     epochs: usize,
     per_client: usize,
     concurrency_levels: &[usize],
     ckpt_path: Option<&Path>,
-) -> Result<ServeBench, String> {
+) -> Result<Json, String> {
     if concurrency_levels.len() < 3 {
         return Err(format!(
             "the report needs at least 3 concurrency levels, got {concurrency_levels:?}"
@@ -250,7 +222,7 @@ pub fn run_job(
     .map_err(|e| format!("server failed to start: {e}"))?;
     let addr = server.addr();
 
-    let result = (|| -> Result<ServeBench, String> {
+    let result = (|| -> Result<Json, String> {
         let smoke_checks = smoke(addr, n_nodes)?;
 
         let mut levels = Vec::new();
@@ -270,173 +242,66 @@ pub fn run_job(
         let model = v
             .get("model")
             .and_then(Json::as_str)
-            .ok_or("statsz lacks model")?
-            .to_string();
-        let dataset = v
-            .get("dataset")
-            .and_then(Json::as_str)
-            .ok_or("statsz lacks dataset")?
-            .to_string();
+            .ok_or("statsz lacks model")?;
+        let dataset = (v.get("dataset").and_then(Json::as_str)).ok_or("statsz lacks dataset")?;
         let batch = v.get("batch").ok_or("statsz lacks batch")?;
         let flushes = batch
             .get("flushes")
             .and_then(Json::as_f64)
             .ok_or("statsz lacks flushes")? as u64;
-        let mut batch_hist: Vec<(usize, u64)> = Vec::new();
-        for size in 1..=max_batch {
-            if let Some(count) = batch
-                .get("hist")
-                .and_then(|h| h.get(&size.to_string()))
-                .and_then(Json::as_f64)
-            {
-                batch_hist.push((size, count as u64));
-            }
-        }
-        Ok(ServeBench {
-            checkpoint: path.display().to_string(),
-            trained_here,
-            model,
-            dataset,
-            n_nodes,
-            max_batch,
-            max_wait_us,
-            smoke_checks,
-            levels,
-            batch_hist,
-            flushes,
-            total_s: started.elapsed().as_secs_f64(),
-        })
+        // flush size -> flush count
+        let batch_hist = batch.get("hist").cloned().ok_or("statsz lacks hist")?;
+        Ok(Json::obj([
+            ("task", "serve".into()),
+            ("model", model.into()),
+            ("dataset", dataset.into()),
+            ("checkpoint", path.display().to_string().into()),
+            ("trained_here", trained_here.into()),
+            ("n_nodes", n_nodes.into()),
+            ("max_batch", max_batch.into()),
+            ("max_wait_us", max_wait_us.into()),
+            ("smoke_checks", smoke_checks.into()),
+            ("levels", levels.into()),
+            ("batch_hist", batch_hist),
+            ("flushes", flushes.into()),
+            ("total_s", started.elapsed().as_secs_f64().into()),
+        ]))
     })();
     server.shutdown();
     result
-}
-
-/// Render the `BENCH_serve.json` document.
-pub fn to_json(b: &ServeBench) -> String {
-    let levels: Vec<String> = b
-        .levels
-        .iter()
-        .map(|l| {
-            format!(
-                "    {{\"concurrency\": {}, \"requests\": {}, \"wall_s\": {:.3}, \
-                 \"throughput_rps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                l.concurrency, l.requests, l.wall_s, l.throughput_rps, l.p50_ms, l.p99_ms
-            )
-        })
-        .collect();
-    let hist: Vec<String> = b
-        .batch_hist
-        .iter()
-        .map(|(size, count)| format!("\"{size}\": {count}"))
-        .collect();
-    format!(
-        "{{\n  \"task\": \"serve\",\n  \"model\": \"{}\",\n  \"dataset\": \"{}\",\n  \
-         \"checkpoint\": \"{}\",\n  \"trained_here\": {},\n  \"parallel_feature\": {},\n  \
-         \"n_nodes\": {},\n  \"max_batch\": {},\n  \"max_wait_us\": {},\n  \
-         \"smoke_checks\": {},\n  \"levels\": [\n{}\n  ],\n  \
-         \"batch_hist\": {{{}}},\n  \"flushes\": {},\n  \"total_s\": {:.3}\n}}\n",
-        b.model,
-        b.dataset,
-        b.checkpoint.replace('\\', "/"),
-        b.trained_here,
-        cfg!(feature = "parallel"),
-        b.n_nodes,
-        b.max_batch,
-        b.max_wait_us,
-        b.smoke_checks,
-        levels.join(",\n"),
-        hist.join(", "),
-        b.flushes,
-        b.total_s,
-    )
-}
-
-/// Run the default-size job and write `BENCH_serve.json` (path
-/// overridable via `MG_BENCH_SERVE_JSON`; `skip` suppresses the file but
-/// still runs the measurement). Returns a process exit code.
-pub fn emit_default() -> i32 {
-    let b = match run_job(0.08, 8, 40, &[1, 4, 16], None) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("serve_report: {e}");
-            return 1;
-        }
-    };
-    eprintln!(
-        "serve_report: {} ({}) from {}{}, {} nodes, {} smoke checks, {} flushes",
-        b.model,
-        b.dataset,
-        b.checkpoint,
-        if b.trained_here {
-            " (trained this run)"
-        } else {
-            " (reused)"
-        },
-        b.n_nodes,
-        b.smoke_checks,
-        b.flushes,
-    );
-    for l in &b.levels {
-        eprintln!(
-            "  c={:>3}: {:>5} reqs, {:>8.1} req/s, p50 {:>7.3} ms, p99 {:>7.3} ms",
-            l.concurrency, l.requests, l.throughput_rps, l.p50_ms, l.p99_ms
-        );
-    }
-    let path = std::env::var("MG_BENCH_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&b);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn num(v: &Json, key: &str) -> f64 {
+        v.get(key).and_then(Json::as_f64).unwrap()
+    }
+
     /// A tiny end-to-end job: smoke passes, every level measures, and
-    /// the report is valid JSON with the required keys.
+    /// the histogram accounts for every flush.
     #[test]
     fn job_serves_measures_and_reports() {
         let path =
             std::env::temp_dir().join(format!("mg_serve_bench_test_{}.mgc", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let b = run_job(0.03, 3, 6, &[1, 2, 4], Some(&path)).expect("job runs");
-        assert!(b.trained_here);
-        assert_eq!(b.smoke_checks, 10);
-        assert_eq!(b.levels.len(), 3);
-        for l in &b.levels {
-            assert!(l.requests > 0 && l.throughput_rps > 0.0);
-            assert!(l.p50_ms <= l.p99_ms);
+        let v = run_job(0.03, 3, 6, &[1, 2, 4], Some(&path)).expect("job runs");
+        assert_eq!(v.get("trained_here"), Some(&Json::Bool(true)));
+        assert_eq!(num(&v, "smoke_checks"), 10.0);
+        let levels = v.get("levels").and_then(Json::as_arr).unwrap();
+        assert_eq!(levels.len(), 3);
+        for l in levels {
+            assert!(num(l, "requests") > 0.0 && num(l, "throughput_rps") > 0.0);
+            assert!(num(l, "p50_ms") <= num(l, "p99_ms"));
         }
-        assert!(b.flushes > 0, "the batcher must have flushed");
-        let total_flushed: u64 = b.batch_hist.iter().map(|(_, c)| c).sum();
-        assert_eq!(
-            total_flushed, b.flushes,
-            "histogram accounts for every flush"
-        );
-        let json = to_json(&b);
-        let v = Json::parse(&json).expect("report is valid JSON");
-        for key in [
-            "model",
-            "checkpoint",
-            "levels",
-            "batch_hist",
-            "flushes",
-            "smoke_checks",
-        ] {
-            assert!(v.get(key).is_some(), "missing {key} in {json}");
-        }
-        assert_eq!(v.get("levels").unwrap().as_arr().unwrap().len(), 3);
+        let flushes = num(&v, "flushes");
+        assert!(flushes > 0.0, "the batcher must have flushed");
+        let Some(Json::Obj(hist)) = v.get("batch_hist") else {
+            panic!("batch_hist is not an object: {v}");
+        };
+        let total_flushed: f64 = hist.values().filter_map(Json::as_f64).sum();
+        assert_eq!(total_flushed, flushes, "histogram accounts for every flush");
         let _ = std::fs::remove_file(&path);
     }
 

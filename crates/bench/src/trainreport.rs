@@ -1,4 +1,4 @@
-//! Traced-training benchmark, exported as `BENCH_train.json`.
+//! Traced-training benchmark, the body of `BENCH_train.json`.
 //!
 //! The `train_report` binary runs one seeded node-classification job
 //! through the mg-obs-instrumented trainer with `MG_TRACE` active,
@@ -13,28 +13,12 @@
 //!
 //! `MG_TRACE` chooses the trace destination (a temp-file default is
 //! installed when unset — the binary's whole point is to exercise the
-//! sink); `MG_BENCH_TRAIN_JSON` overrides the report path (`skip`
-//! suppresses it).
+//! sink).
 
-use crate::opsbench::host_threads;
 use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
 use mg_eval::{NodeModelKind, SessionKind, TrainConfig, TrainSession};
-use mg_obs::{validate_trace, TraceReport};
+use mg_obs::{validate_trace, Json};
 use std::time::Instant;
-
-/// Everything the traced benchmark job produced.
-#[derive(Clone, Debug)]
-pub struct TrainBench {
-    pub model: &'static str,
-    pub dataset: &'static str,
-    pub seed: u64,
-    pub epochs_run: usize,
-    pub best_val: f64,
-    pub test_metric: f64,
-    pub trace_path: String,
-    pub report: TraceReport,
-    pub total_s: f64,
-}
 
 /// Resolve the trace destination: honour an explicit `MG_TRACE`, else
 /// install a temp-file default (the report exists to exercise the sink,
@@ -53,10 +37,12 @@ fn trace_destination() -> String {
     }
 }
 
-/// Run the seeded benchmark job with tracing active and validate the
-/// trace it leaves behind. `scale`/`epochs` size the job (the binary
-/// uses [`emit_default`]'s settings; tests shrink both).
-pub fn run_job(scale: f64, epochs: usize) -> Result<TrainBench, String> {
+/// Run the seeded benchmark job with tracing active, validate the trace
+/// it leaves behind, and return the report body. Epoch timings are
+/// train+eval wall time per epoch in milliseconds, straight from the
+/// trace. `scale`/`epochs` size the job (the binary uses 0.08 and 30;
+/// tests shrink both).
+pub fn run_job(scale: f64, epochs: usize) -> Result<Json, String> {
     let trace_path = trace_destination();
     // The sink appends across runs; this report describes exactly one.
     std::fs::write(&trace_path, "").map_err(|e| format!("cannot write {trace_path}: {e}"))?;
@@ -103,129 +89,49 @@ pub fn run_job(scale: f64, epochs: usize) -> Result<TrainBench, String> {
             report.run_starts, report.run_ends
         ));
     }
-    Ok(TrainBench {
-        model: "AdamGNN",
-        dataset: "cora_synthetic",
-        seed: cfg.seed,
-        epochs_run: res.epochs_run,
-        best_val: res.val_metric.expect("node classification has validation"),
-        test_metric: res.test_metric,
-        trace_path,
-        report,
-        total_s,
-    })
-}
-
-/// Render the `BENCH_train.json` document. Epoch timings are train+eval
-/// wall time per epoch in milliseconds, straight from the trace.
-pub fn to_json(b: &TrainBench) -> String {
-    let epoch_ms: Vec<f64> = b
-        .report
-        .epoch_train_ns
-        .iter()
-        .zip(&b.report.epoch_eval_ns)
+    let epoch_ms: Vec<f64> = (report.epoch_train_ns.iter())
+        .zip(&report.epoch_eval_ns)
         .map(|(&t, &e)| (t + e) as f64 / 1e6)
         .collect();
     let mean_epoch_ms = epoch_ms.iter().sum::<f64>() / epoch_ms.len().max(1) as f64;
-    let epoch_list = epoch_ms
-        .iter()
-        .map(|ms| format!("{ms:.3}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"task\": \"node_classification\",\n  \"model\": \"{}\",\n  \
-         \"dataset\": \"{}\",\n  \"seed\": {},\n  \"parallel_feature\": {},\n  \
-         \"host_threads\": {},\n  \"epochs_run\": {},\n  \"best_val\": {:.6},\n  \
-         \"test_metric\": {:.6},\n  \"trace_path\": \"{}\",\n  \"trace_lines\": {},\n  \
-         \"epoch_ms\": [{epoch_list}],\n  \"mean_epoch_ms\": {mean_epoch_ms:.3},\n  \
-         \"total_s\": {:.3}\n}}\n",
-        b.model,
-        b.dataset,
-        b.seed,
-        cfg!(feature = "parallel"),
-        host_threads(),
-        b.epochs_run,
-        b.best_val,
-        b.test_metric,
-        b.trace_path.replace('\\', "/"),
-        b.report.lines,
-        b.total_s,
-    )
-}
-
-/// Run the default-size job and write `BENCH_train.json` (path
-/// overridable via `MG_BENCH_TRAIN_JSON`; `skip` suppresses the file but
-/// still runs and validates the trace). Returns a process exit code.
-pub fn emit_default() -> i32 {
-    let b = match run_job(0.08, 30) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("train_report: {e}");
-            return 1;
-        }
-    };
-    eprintln!(
-        "train_report: {} epochs, best val {:.4}, test {:.4}, mean epoch {:.1} ms, \
-         trace {} ({} lines)",
-        b.epochs_run,
-        b.best_val,
-        b.test_metric,
-        b.report
-            .epoch_train_ns
-            .iter()
-            .zip(&b.report.epoch_eval_ns)
-            .map(|(&t, &e)| (t + e) as f64 / 1e6)
-            .sum::<f64>()
-            / b.epochs_run.max(1) as f64,
-        b.trace_path,
-        b.report.lines,
-    );
-    let path = std::env::var("MG_BENCH_TRAIN_JSON").unwrap_or_else(|_| "BENCH_train.json".into());
-    if path == "skip" {
-        return 0;
-    }
-    let json = to_json(&b);
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            1
-        }
-    }
+    let best_val = res.val_metric.expect("node classification has validation");
+    Ok(Json::obj([
+        ("task", "node_classification".into()),
+        ("model", "AdamGNN".into()),
+        ("dataset", "cora_synthetic".into()),
+        ("seed", cfg.seed.into()),
+        ("epochs_run", res.epochs_run.into()),
+        ("best_val", best_val.into()),
+        ("test_metric", res.test_metric.into()),
+        ("trace_path", trace_path.into()),
+        ("trace_lines", report.lines.into()),
+        ("epoch_ms", epoch_ms.into()),
+        ("mean_epoch_ms", mean_epoch_ms.into()),
+        ("total_s", total_s.into()),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One small end-to-end pass: job runs, trace validates, JSON has
-    /// the promised fields. Uses a private MG_TRACE path so parallel
-    /// test binaries cannot collide on the temp default.
+    /// One small end-to-end pass: the job runs, its trace validates, and
+    /// the report describes the three epochs. Uses a private MG_TRACE
+    /// path so parallel test binaries cannot collide on the temp default.
     #[test]
     fn small_job_produces_valid_report() {
         let path =
             std::env::temp_dir().join(format!("mg_train_report_test_{}.jsonl", std::process::id()));
         std::env::set_var("MG_TRACE", &path);
-        let b = run_job(0.03, 3).expect("job runs");
+        let v = run_job(0.03, 3).expect("job runs");
         std::env::remove_var("MG_TRACE");
-        assert_eq!(b.epochs_run, 3);
-        assert_eq!(b.report.epochs, 3);
-        let json = to_json(&b);
-        for key in [
-            "\"task\"",
-            "\"model\"",
-            "\"epochs_run\"",
-            "\"epoch_ms\"",
-            "\"mean_epoch_ms\"",
-            "\"trace_lines\"",
-            "\"total_s\"",
-            "\"parallel_feature\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        assert_eq!(v.get("epochs_run").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(
+            v.get("epoch_ms").and_then(Json::as_arr).map(<[_]>::len),
+            Some(3)
+        );
+        let lines = v.get("trace_lines").and_then(Json::as_f64).unwrap();
+        assert!(lines > 3.0, "{v}");
         let _ = std::fs::remove_file(&path);
     }
 }

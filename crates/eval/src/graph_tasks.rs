@@ -14,6 +14,9 @@ use mg_tensor::{Binding, MgError, ParamStore, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
 
+/// Classes every graph classifier predicts; graph labels must lie below.
+pub(crate) const GRAPH_CLASSES: usize = 2;
+
 /// Pre-build per-graph contexts once (adjacency normalisations are
 /// gradient-free and reusable across epochs).
 pub fn build_contexts(ds: &GraphDataset) -> Vec<(GraphCtx, usize)> {
@@ -37,7 +40,7 @@ pub(crate) fn graph_classification(
         model: kind.name().into(),
         dataset: format!("{}_graphs", contexts.len()),
         in_dim: feat_dim,
-        out_dim: 2,
+        out_dim: GRAPH_CLASSES,
         n_nodes: 0,
     };
     let n = contexts.iter().map(|(c, _)| c.graph.n()).sum();
@@ -45,7 +48,7 @@ pub(crate) fn graph_classification(
     let job = Job::new("graph_classification", meta, n, m, cfg);
     let (outcome, _) = train(&job, cfg, hooks, |store, rng| {
         let split = Split::random_80_10_10(contexts.len(), cfg.seed ^ 0x9c9c)?;
-        let model = kind.build(store, feat_dim, cfg.hidden, 2, cfg, rng);
+        let model = kind.build(store, feat_dim, cfg.hidden, GRAPH_CLASSES, cfg, rng);
         let graphs = Shuffled::new(split.train.clone(), 32);
         Ok(Box::new(Graphs {
             model,

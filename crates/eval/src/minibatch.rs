@@ -61,23 +61,33 @@ impl MinibatchConfig {
 
 /// Sample around `seeds` and gather the subgraph's features and labels
 /// into batch-local arrays (local row `l` is global node `sub.nodes[l]`).
+/// A caller's source is checked as it is read: a non-finite feature or a
+/// label outside `0..num_classes` is an [`MgError::InvalidInput`].
 fn sample(
     src: &dyn NodeFeatureSource,
     graph: &Topology,
     (sampler, fanouts): (&mut NeighborSampler, &[usize]),
     seeds: &[usize],
     rng: &mut StdRng,
-) -> (SampledSubgraph, GraphCtx, Vec<usize>) {
+) -> Result<(SampledSubgraph, GraphCtx, Vec<usize>), MgError> {
     let sub = sampler.sample(graph, seeds, fanouts, rng);
     let mut x = Matrix::zeros(sub.nodes.len(), src.feat_dim());
-    let labels = (sub.nodes.iter().enumerate())
-        .map(|(l, &g)| {
-            src.fill_features(g, x.row_mut(l));
-            src.label(g)
-        })
-        .collect();
+    let mut labels = Vec::with_capacity(sub.nodes.len());
+    for (l, &g) in sub.nodes.iter().enumerate() {
+        src.fill_features(g, x.row_mut(l));
+        if !x.row(l).iter().all(|v| v.is_finite()) {
+            let detail = format!("node {g}'s features hold a NaN or infinity");
+            return Err(MgError::InvalidInput { detail });
+        }
+        let (label, classes) = (src.label(g), src.num_classes());
+        if label >= classes {
+            let detail = format!("node {g}'s label {label} is out of range for {classes} classes");
+            return Err(MgError::InvalidInput { detail });
+        }
+        labels.push(label);
+    }
     let ctx = GraphCtx::new(sub.topo.clone(), x);
-    (sub, ctx, labels)
+    Ok((sub, ctx, labels))
 }
 
 /// What a sampled step draws its seeds from.
@@ -170,7 +180,7 @@ impl Task for Sampled<'_> {
             Batch::Edges { edges, train, full } => {
                 let batch = edges.get(i);
                 let seeds: Vec<usize> = batch.iter().flat_map(|&(u, v)| [u, v]).collect();
-                let (sub, ctx, _) = sample(src, train, how, &seeds, rng);
+                let (sub, ctx, _) = sample(src, train, how, &seeds, rng)?;
                 let out = self.model.forward(tape, bind, &ctx, true, rng);
                 // endpoints are seeds, so they occupy the remap's prefix
                 let local: HashMap<usize, usize> =
@@ -184,7 +194,7 @@ impl Task for Sampled<'_> {
                 return Ok(step);
             }
         };
-        let (sub, ctx, labels) = sample(src, src.graph(), how, &seeds, rng);
+        let (sub, ctx, labels) = sample(src, src.graph(), how, &seeds, rng)?;
         let out = self.model.forward(tape, bind, &ctx, true, rng);
         let (labels, rows) = (Rc::new(labels), Rc::new(sub.seed_locals().collect()));
         let mut step = classify_objective(tape, out, labels, rows, &ctx.graph, w, rng);
@@ -459,5 +469,70 @@ mod tests {
         assert_eq!(out.steps, 8); // 2 epochs x ceil(256/64)
         assert!(out.mean_loss.is_finite() && out.mean_loss > 0.0);
         assert!(out.sampled_nodes > 0);
+    }
+
+    /// A caller's source with one poisoned node: its feature row or its
+    /// label.
+    struct Poisoned<'a> {
+        big: &'a BigGraph,
+        node: usize,
+        row: bool,
+    }
+
+    impl NodeFeatureSource for Poisoned<'_> {
+        fn n(&self) -> usize {
+            self.big.n()
+        }
+        fn feat_dim(&self) -> usize {
+            self.big.feat_dim()
+        }
+        fn num_classes(&self) -> usize {
+            self.big.num_classes()
+        }
+        fn label(&self, i: usize) -> usize {
+            if i == self.node && !self.row {
+                self.num_classes()
+            } else {
+                self.big.label(i)
+            }
+        }
+        fn fill_features(&self, i: usize, out: &mut [f64]) {
+            self.big.fill_features(i, out);
+            if i == self.node && self.row {
+                out[0] = f64::NAN;
+            }
+        }
+        fn graph(&self) -> &Topology {
+            self.big.graph()
+        }
+    }
+
+    #[test]
+    fn streamed_epoch_rejects_a_poisoned_source() {
+        let big = BigGraph::generate(&BigGraphConfig {
+            n: 200,
+            classes: 5,
+            avg_degree: 8,
+            feat_dim: 20,
+            seed: 3,
+            byte_budget: 8 << 20,
+        });
+        let cfg = TrainConfig {
+            epochs: 1,
+            hidden: 8,
+            levels: 2,
+            seed: 2,
+            ..Default::default()
+        };
+        let mb = small_mb();
+        for row in [true, false] {
+            let src = Poisoned {
+                big: &big,
+                node: 7,
+                row,
+            };
+            let err = sampled_epochs_streamed(&src, NodeModelKind::Gcn, &cfg, &mb, 1024);
+            assert!(matches!(err, Err(MgError::InvalidInput { .. })), "{err:?}");
+        }
     }
 }

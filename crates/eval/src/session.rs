@@ -26,7 +26,7 @@
 //! the early-stopping counters are all restored exactly, and the
 //! remaining epochs replay the identical draw sequence.
 
-use crate::graph_tasks::{build_contexts, graph_classification};
+use crate::graph_tasks::{build_contexts, graph_classification, GRAPH_CLASSES};
 use crate::minibatch::MinibatchConfig;
 use crate::models::{GraphModelKind, NodeModelKind};
 use crate::node_tasks::{node_task, FullGraph, TrainConfig};
@@ -199,15 +199,26 @@ impl TrainSession {
         };
         let cfg = &self.cfg;
         let input = input.into();
-        let finite = match &input {
-            SessionInput::Node(ds) => ds.features.all_finite(),
-            SessionInput::Graphs(ds) => ds.samples.iter().all(|s| s.features.all_finite()),
-            SessionInput::Prebuilt { contexts, .. } => {
-                contexts.iter().all(|(c, _)| c.x.all_finite())
-            }
+        let (finite, labelled) = match &input {
+            SessionInput::Node(ds) => (
+                ds.features.all_finite(),
+                ds.labels.iter().all(|&l| l < ds.num_classes),
+            ),
+            SessionInput::Graphs(ds) => (
+                ds.samples.iter().all(|s| s.features.all_finite()),
+                ds.samples.iter().all(|s| s.label < GRAPH_CLASSES),
+            ),
+            SessionInput::Prebuilt { contexts, .. } => (
+                contexts.iter().all(|(c, _)| c.x.all_finite()),
+                contexts.iter().all(|&(_, l)| l < GRAPH_CLASSES),
+            ),
         };
         if !finite {
             let detail = "input features hold a NaN or infinity".into();
+            return Err(MgError::InvalidInput { detail });
+        }
+        if !labelled {
+            let detail = "an input label is not below the number of classes".into();
             return Err(MgError::InvalidInput { detail });
         }
         let mut outcome = match (self.kind, input) {
@@ -437,5 +448,55 @@ mod tests {
             matches!(sampled, Err(MgError::InvalidInput { .. })),
             "{sampled:?}"
         );
+    }
+
+    /// A label at or above the class count would index past the logits
+    /// in the loss: every classifier must reject it up front.
+    #[test]
+    fn out_of_range_label_fails_closed() {
+        let mut ds = mg_data::make_node_dataset(
+            mg_data::NodeDatasetKind::Cora,
+            &mg_data::NodeGenConfig {
+                scale: 0.05,
+                max_feat_dim: 16,
+                seed: 0,
+            },
+        );
+        let cfg = TrainConfig {
+            epochs: 2,
+            hidden: 8,
+            levels: 2,
+            ..Default::default()
+        };
+        let split = mg_data::Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed).unwrap();
+        ds.labels[split.train[0]] = ds.num_classes;
+        let kind = SessionKind::NodeClassification(NodeModelKind::Gcn);
+        let full = TrainSession::new(kind, &cfg).run(&ds);
+        assert!(
+            matches!(full, Err(MgError::InvalidInput { .. })),
+            "{full:?}"
+        );
+        let mb = MinibatchConfig {
+            batch_size: 16,
+            fanouts: vec![4, 4],
+        };
+        let sampled = TrainSession::new(kind, &cfg).minibatch(mb).run(&ds);
+        let sampled_err = matches!(sampled, Err(MgError::InvalidInput { .. }));
+        assert!(sampled_err, "{sampled:?}");
+
+        let mut graphs = mg_data::make_graph_dataset(
+            mg_data::GraphDatasetKind::Mutag,
+            &mg_data::GraphGenConfig {
+                scale: 0.02,
+                max_nodes: 20,
+                seed: 0,
+            },
+        );
+        for s in &mut graphs.samples {
+            s.label = graphs.num_classes;
+        }
+        let kind = SessionKind::GraphClassification(GraphModelKind::Gin);
+        let gc = TrainSession::new(kind, &cfg).run(&graphs);
+        assert!(matches!(gc, Err(MgError::InvalidInput { .. })), "{gc:?}");
     }
 }

@@ -1,7 +1,8 @@
-//! Minimal JSON support for the trace sink: escaping and number
-//! formatting on the write side, and a small recursive-descent parser on
-//! the read side (the `train_report` binary and the obs-smoke CI job
-//! re-read emitted traces to validate them).
+//! Minimal JSON support for the trace sink and the mg-bench reports:
+//! escaping and number formatting on the write side, a [`Json`] value
+//! whose `Display` writes a whole document, and a small
+//! recursive-descent parser on the read side (the `train_report` binary
+//! and the obs-smoke CI job re-read emitted traces to validate them).
 //!
 //! The writer guarantees every emitted line is valid JSON: strings are
 //! escaped, and non-finite floats — which JSON cannot represent — are
@@ -9,7 +10,7 @@
 //! the file.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
 pub fn escape(s: &str) -> String {
@@ -46,7 +47,7 @@ pub fn number(x: f64) -> String {
     }
 }
 
-/// A parsed JSON value.
+/// A JSON value: read by [`Json::parse`], written by its `Display`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
@@ -103,6 +104,94 @@ impl Json {
             Json::Arr(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(x) => return f.write_str(&number(*x)),
+            Json::Str(s) => return f.write_str(&string(s)),
+            Json::Arr(v) => ('[', ']', v.iter().map(|x| (None, x)).collect()),
+            Json::Obj(m) => ('{', '}', m.iter().map(|(k, x)| (Some(&**k), x)).collect()),
+        };
+        // pretty output breaks lines only around nested containers
+        let nested = (items.iter()).any(|(_, x)| matches!(x, Json::Arr(_) | Json::Obj(_)));
+        let inner = indent.filter(|_| nested).map(|d| d + 1);
+        f.write_char(open)?;
+        for (i, (key, x)) in items.into_iter().enumerate() {
+            match (inner, i) {
+                (Some(d), _) => {
+                    write!(f, "{}\n{:w$}", if i > 0 { "," } else { "" }, "", w = 2 * d)?
+                }
+                (None, 0) => {}
+                (None, _) => f.write_str(", ")?,
+            }
+            if let Some(k) = key {
+                write!(f, "{}: ", string(k))?;
+            }
+            x.write(f, inner)?;
+        }
+        if let Some(d) = inner {
+            write!(f, "\n{:w$}", "", w = 2 * (d - 1))?;
+        }
+        f.write_char(close)
+    }
+}
+
+/// Writes the value as one JSON document through [`string`] and
+/// [`number`]. The alternate form (`{:#}`) indents nested containers two
+/// spaces per level; a container of scalars stays on one line.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(x: $t) -> Json {
+                Json::Num(x as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` becomes `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
     }
 }
 
