@@ -1,6 +1,6 @@
 //! Kernel-timing report: times every mg-runtime-dispatched kernel
-//! serial-vs-parallel, plus a few serial-only model-level cases, and
-//! writes `BENCH_ops.json`:
+//! and a few model-level cases serial-vs-parallel, and writes
+//! `BENCH_ops.json`:
 //!
 //! ```text
 //! cargo run --release -p mg-bench --features parallel --bin ops_report

@@ -257,7 +257,22 @@ mod tests {
             Some(&Json::Bool(false)),
             "compatible checkpoint must be reused"
         );
+        assert!(first.get("model").is_some());
         assert_eq!(second.get("model"), first.get("model"));
+        let task = second.get("task").and_then(Json::as_str);
+        assert_eq!(task, Some("node_classification"));
+        crate::report::assert_keys(
+            &second,
+            &[
+                "model",
+                "checkpoint",
+                "trained_here",
+                "forwards",
+                "mean_forward_ms",
+                "pinned_structure",
+                "n_nodes",
+            ],
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The suite times each hot kernel twice in one process — under a
 //! one-thread pool (the exact serial path) and under an N-thread pool —
-//! using `mg_runtime::with_pool`. A few model-level cases (a GCN layer's
-//! forward and backward, AdamGNN's pair fitness, segment softmax, a
-//! thin matmul) are timed on the one-thread pool only. The
+//! using `mg_runtime::with_pool`. Besides the raw kernels it times a few
+//! model-level cases the same way: a thin matmul, a GCN layer's forward
+//! and backward, AdamGNN's pair fitness and segment softmax. The
 //! `ops_report` binary is the report's only writer.
 //!
 //! Pool size resolution: `MG_NUM_THREADS` if set, else the host's
@@ -29,20 +29,22 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One kernel's serial and parallel medians; `parallel_ns` is `None`
-/// for a case timed serially only.
+/// One kernel's serial and parallel medians.
 #[derive(Clone, Debug)]
 pub struct OpTiming {
     pub op: &'static str,
     pub serial_ns: f64,
-    pub parallel_ns: Option<f64>,
+    pub parallel_ns: f64,
 }
 
 impl OpTiming {
     /// Serial / parallel ratio (>1 means the pool helped).
-    pub fn speedup(&self) -> Option<f64> {
-        let p = self.parallel_ns?;
-        Some(if p > 0.0 { self.serial_ns / p } else { 0.0 })
+    pub fn speedup(&self) -> f64 {
+        if self.parallel_ns > 0.0 {
+            self.serial_ns / self.parallel_ns
+        } else {
+            0.0
+        }
     }
 }
 
@@ -117,9 +119,9 @@ pub fn pool_threads() -> usize {
     )
 }
 
-/// Time every hot kernel serial-vs-parallel, then the serial-only
-/// cases. `samples` is the number of timed repetitions per kernel (the
-/// median is reported).
+/// Time every hot kernel and model-level case serial-vs-parallel.
+/// `samples` is the number of timed repetitions per case (the median is
+/// reported).
 pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     let serial = Arc::new(Pool::new(1));
     let pool = Arc::new(Pool::new(threads));
@@ -133,9 +135,9 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     let big = Matrix::uniform(1000, 512, -1.0, 1.0, &mut rng);
 
     let mut out = Vec::new();
-    let mut record = |op: &'static str, parallel: bool, f: &dyn Fn()| {
+    let mut record = |op: &'static str, f: &dyn Fn()| {
         let serial_ns = with_pool(serial.clone(), || median_ns(samples, f));
-        let parallel_ns = parallel.then(|| with_pool(pool.clone(), || median_ns(samples, f)));
+        let parallel_ns = with_pool(pool.clone(), || median_ns(samples, f));
         out.push(OpTiming {
             op,
             serial_ns,
@@ -143,25 +145,25 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
         });
     };
 
-    record("matmul_512x512x512", true, &|| {
+    record("matmul_512x512x512", &|| {
         black_box(a512.matmul(&b512));
     });
-    record("matmul_tn_512", true, &|| {
+    record("matmul_tn_512", &|| {
         black_box(a512.matmul_tn(&b512));
     });
-    record("matmul_nt_512", true, &|| {
+    record("matmul_nt_512", &|| {
         black_box(a512.matmul_nt(&b512));
     });
-    record("spmm_2k_nodes_8k_edges_d64", true, &|| {
+    record("spmm_2k_nodes_8k_edges_d64", &|| {
         black_box(norm.csr.spmm(&norm.values, &x));
     });
-    record("spmm_t_2k_nodes_8k_edges_d64", true, &|| {
+    record("spmm_t_2k_nodes_8k_edges_d64", &|| {
         black_box(norm.csr.spmm_t(&norm.values, &x));
     });
-    record("map_512k_elems", true, &|| {
+    record("map_512k_elems", &|| {
         black_box(big.map(|v| (v * 0.5).tanh()));
     });
-    record("zip_512k_elems", true, &|| {
+    record("zip_512k_elems", &|| {
         black_box(big.zip(&big, |p, q| p * q + 0.5 * p));
     });
 
@@ -169,14 +171,14 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
         Matrix::uniform(512, 256, -1.0, 1.0, &mut rng),
         Matrix::uniform(256, 64, -1.0, 1.0, &mut rng),
     );
-    record("matmul_512x256x64", false, &|| {
+    record("matmul_512x256x64", &|| {
         black_box(a.matmul(&b));
     });
     let ctx = GraphCtx::new(g.clone(), x.clone());
     let mut store = ParamStore::new();
     let layer = GcnLayer::new(&mut store, "b", 64, 64, Activation::Relu, &mut rng);
     let params = AttentionParams::new(&mut store, "fit", 64, &mut rng);
-    record("gcn_layer_fwd_bwd_2k_nodes", false, &|| {
+    record("gcn_layer_fwd_bwd_2k_nodes", &|| {
         let tape = Tape::new();
         let bind = store.bind(&tape);
         let xv = ctx.x_var(&tape);
@@ -185,7 +187,7 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
         black_box(tape.backward(loss));
     });
     let pairs = EgoPairs::build(&g, 1);
-    record("adamgnn_pair_fitness_16k_pairs", false, &|| {
+    record("adamgnn_pair_fitness_16k_pairs", &|| {
         let tape = Tape::new();
         let bind = store.bind(&tape);
         let h = tape.constant(x.clone());
@@ -193,7 +195,7 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     });
     let scores = Matrix::uniform(16000, 1, -2.0, 2.0, &mut rng);
     let seg: Rc<Vec<usize>> = Rc::new((0..16000).map(|_| rng.random_range(0..2000)).collect());
-    record("segment_softmax_16k_entries", false, &|| {
+    record("segment_softmax_16k_entries", &|| {
         let tape = Tape::new();
         let s = tape.constant(scores.clone());
         black_box(tape.segment_softmax(s, seg.clone(), 2000));
@@ -307,7 +309,7 @@ pub fn report(threads: usize, timings: &[OpTiming], variants: &[VariantTiming]) 
             ("op", t.op.into()),
             ("serial_ns", t.serial_ns.into()),
             ("parallel_ns", t.parallel_ns.into()),
-            ("speedup", t.speedup().filter(|_| !oversubscribed).into()),
+            ("speedup", (!oversubscribed).then(|| t.speedup()).into()),
         ])
     });
     let variants = variants.iter().map(|v| {
@@ -351,18 +353,20 @@ mod tests {
     #[test]
     fn suite_reports_all_ops() {
         let timings = run_suite(2, 1);
-        assert!(timings.iter().all(|t| t.serial_ns > 0.0));
-        // the serial-only cases come last and have no parallel half
-        let serial_only = timings.iter().filter(|t| t.parallel_ns.is_none()).count();
-        assert_eq!(serial_only, 4);
-        assert!(timings[..timings.len() - 4]
+        assert!(timings
             .iter()
-            .all(|t| t.parallel_ns.is_some_and(|p| p > 0.0)));
+            .all(|t| t.serial_ns > 0.0 && t.parallel_ns > 0.0));
         let v = report(2, &timings, &[]);
         assert_eq!(v.get("pool_threads").and_then(Json::as_f64), Some(2.0));
         let names = ops(&v, "ops");
+        assert_eq!(names.len(), timings.len());
         for op in ["matmul_512x512x512", "gcn_layer_fwd_bwd_2k_nodes"] {
             assert!(names.iter().any(|n| n == op), "{op}");
+        }
+        for row in v.get("ops").and_then(Json::as_arr).unwrap() {
+            for key in ["serial_ns", "parallel_ns", "speedup"] {
+                assert!(row.get(key).is_some(), "missing {key} in {row}");
+            }
         }
     }
 
@@ -406,7 +410,7 @@ mod tests {
         let timings = vec![OpTiming {
             op: "fake_op",
             serial_ns: 100.0,
-            parallel_ns: Some(50.0),
+            parallel_ns: 50.0,
         }];
         let speedup = |v: &Json| {
             v.get("ops").unwrap().as_arr().unwrap()[0]

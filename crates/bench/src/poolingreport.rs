@@ -138,7 +138,8 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<Json, String> {
 mod tests {
     use super::*;
 
-    /// A tiny matrix end to end: all nine cells run, three per operator.
+    /// A tiny matrix end to end: all nine cells run, three per operator,
+    /// and every number in the body is finite.
     #[test]
     fn tiny_matrix_produces_all_nine_cells() {
         let v = run_matrix(&MatrixConfig {
@@ -155,5 +156,9 @@ mod tests {
             let of_kind = |c: &&Json| c.get("pooling").and_then(Json::as_str) == Some(kind.name());
             assert_eq!(cells.iter().filter(of_kind).count(), 3);
         }
+        for c in cells {
+            crate::report::assert_keys(c, &["task", "val_metric", "test_metric", "mean_epoch_s"]);
+        }
+        assert_eq!(crate::report::non_finite(&v, ""), None, "{v}");
     }
 }

@@ -59,7 +59,7 @@ fn write(name: &str, body: Json) -> Result<PathBuf, String> {
 }
 
 /// Where in `v` the first non-finite number sits, if anywhere.
-fn non_finite(v: &Json, at: &str) -> Option<String> {
+pub(crate) fn non_finite(v: &Json, at: &str) -> Option<String> {
     match v {
         Json::Num(x) if !x.is_finite() => Some(at.to_string()),
         Json::Arr(items) => {
@@ -69,6 +69,14 @@ fn non_finite(v: &Json, at: &str) -> Option<String> {
             .iter()
             .find_map(|(k, x)| non_finite(x, &format!("{at}.{k}"))),
         _ => None,
+    }
+}
+
+/// Assert that the report body `v` carries every key in `keys`.
+#[cfg(test)]
+pub(crate) fn assert_keys(v: &Json, keys: &[&str]) {
+    for key in keys {
+        assert!(v.get(key).is_some(), "missing {key} in {v}");
     }
 }
 

@@ -302,6 +302,7 @@ mod tests {
         };
         let total_flushed: f64 = hist.values().filter_map(Json::as_f64).sum();
         assert_eq!(total_flushed, flushes, "histogram accounts for every flush");
+        crate::report::assert_keys(&v, &["model", "checkpoint"]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -132,6 +132,9 @@ mod tests {
         );
         let lines = v.get("trace_lines").and_then(Json::as_f64).unwrap();
         assert!(lines > 3.0, "{v}");
+        let task = v.get("task").and_then(Json::as_str);
+        assert_eq!(task, Some("node_classification"));
+        crate::report::assert_keys(&v, &["model", "mean_epoch_ms", "total_s"]);
         let _ = std::fs::remove_file(&path);
     }
 }
