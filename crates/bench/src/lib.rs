@@ -14,23 +14,22 @@
 //! Larger values track the paper's protocol more closely at the cost of
 //! wall-clock time; the defaults finish each table in minutes on a laptop.
 //!
-//! The report binaries (`ops_report`, `train_report`, `mem_report`,
-//! `sample_report`, `pooling_report`, `serve_report`, `infer`) each write
-//! one `BENCH_<name>.json` through [`report::emit`], into the directory
-//! named by `MG_BENCH_OUT_DIR` (default: the working directory).
+//! The report binaries (`ops_report`, `mem_report`, `sample_report`,
+//! `pooling_report`) each write one `BENCH_<name>.json` through
+//! [`report::emit`], into the directory named by `MG_BENCH_OUT_DIR`
+//! (default: the working directory). End-to-end training and serving
+//! cost at Table-6 scale is measured by the repository benchmark in
+//! `perfbench/`, not here; the `serve` binary runs a standalone server.
 
 use adamgnn_core::LossWeights;
 use mg_data::{GraphGenConfig, NodeGenConfig};
 use mg_eval::TrainConfig;
 
-pub mod inferbench;
 pub mod memreport;
 pub mod opsbench;
 pub mod poolingreport;
 pub mod report;
 pub mod samplereport;
-pub mod servebench;
-pub mod trainreport;
 
 /// Read an environment variable with a typed default.
 pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {

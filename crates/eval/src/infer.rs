@@ -148,12 +148,12 @@ impl FrozenModel {
     /// Batch entry point: gather the output rows for `ids` out of one
     /// full forward's output matrix.
     ///
-    /// Serving layers (mg-serve's micro-batcher, the `infer` bench) run
-    /// [`FrozenModel::node_outputs`] once per flush and answer every
-    /// coalesced request from the same matrix through these gathers —
-    /// which is why responses are bitwise identical however requests are
-    /// batched. Any out-of-range id rejects the whole request with
-    /// [`MgError::InvalidInput`]; there are no partial results.
+    /// mg-serve's micro-batcher runs [`FrozenModel::node_outputs`] once
+    /// per flush and answers every coalesced request from the same
+    /// matrix through these gathers — which is why responses are bitwise
+    /// identical however requests are batched. Any out-of-range id
+    /// rejects the whole request with [`MgError::InvalidInput`]; there
+    /// are no partial results.
     pub fn embeddings_from(h: &Matrix, ids: &[usize]) -> Result<Vec<Vec<f64>>, MgError> {
         Self::check_ids(h, ids)?;
         Ok(ids.iter().map(|&i| h.row(i).to_vec()).collect())
@@ -277,6 +277,13 @@ mod tests {
             let labels = fm.predict_labels(&ctx).unwrap();
             assert_eq!(labels.len(), ds.n());
             assert!(labels.iter().all(|&l| l < ds.num_classes));
+            // link scores over the same outputs are probabilities
+            let pairs: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
+            let scores = fm.score_links(&ctx, &pairs).unwrap();
+            assert_eq!(scores.len(), pairs.len());
+            assert!(scores
+                .iter()
+                .all(|s| s.is_finite() && (0.0..=1.0).contains(s)));
             // the AdamGNN checkpoint pins its learned hierarchy
             if kind == NodeModelKind::AdamGnn {
                 assert!(fm.structure().is_some());

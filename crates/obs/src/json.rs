@@ -1,8 +1,8 @@
 //! Minimal JSON support for the trace sink and the mg-bench reports:
 //! escaping and number formatting on the write side, a [`Json`] value
 //! whose `Display` writes a whole document, and a small
-//! recursive-descent parser on the read side (the `train_report` binary
-//! and the obs-smoke CI job re-read emitted traces to validate them).
+//! recursive-descent parser on the read side ([`crate::validate_trace`]
+//! re-reads emitted traces to validate them).
 //!
 //! The writer guarantees every emitted line is valid JSON: strings are
 //! escaped, and non-finite floats — which JSON cannot represent — are

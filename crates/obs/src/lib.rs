@@ -26,15 +26,13 @@
 //! * `kernel_stats` — a snapshot of mg-runtime's per-kernel timing
 //!   registry, folding the `MG_KERNEL_STATS` story into the same file;
 //! * `run_end` — best validation / test metrics and total wall time;
-//! * `infer` — one frozen-model inference job: checkpoint provenance
-//!   plus forward-pass throughput ([`InferRecord`]);
 //! * `serve` — one online-inference request served by mg-serve: endpoint,
 //!   HTTP status, micro-batch size, queue wait and the batched forward's
 //!   wall time ([`ServeRecord`]).
 //!
 //! [`validate_trace`] re-parses an emitted trace and checks the schema;
-//! the `train_report` binary and the obs-smoke CI job run it on every
-//! trace they produce.
+//! the trace tests (mg-eval's `obs_emission`, mg-serve's `serve_trace`)
+//! run it on every trace they produce.
 
 pub mod json;
 pub mod record;
@@ -43,8 +41,6 @@ pub mod trace;
 pub mod validate;
 
 pub use json::Json;
-pub use record::{
-    BetaStats, EpochRecord, InferRecord, RunEnd, RunMeta, SampleStepRecord, ServeRecord,
-};
+pub use record::{BetaStats, EpochRecord, RunEnd, RunMeta, SampleStepRecord, ServeRecord};
 pub use trace::{Stopwatch, Trace};
 pub use validate::{validate_trace, TraceReport};

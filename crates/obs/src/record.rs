@@ -229,49 +229,6 @@ impl SampleStepRecord {
     }
 }
 
-/// One frozen-model inference job, emitted as `kind: "infer"`.
-///
-/// Inference loads a checkpoint instead of training, so the record
-/// carries the checkpoint provenance plus forward-pass throughput — the
-/// two facts a trace reader needs to tell a serving run from a training
-/// run that happens to share the same model/dataset labels.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InferRecord {
-    /// Path of the checkpoint the frozen model was loaded from.
-    pub checkpoint: String,
-    /// Model display name recorded in the checkpoint.
-    pub model: String,
-    /// Dataset display name recorded in the checkpoint.
-    pub dataset: String,
-    /// Nodes in the graph the forwards ran over.
-    pub n_nodes: usize,
-    /// Whether the checkpoint pinned a frozen pooling structure that the
-    /// forwards replayed (AdamGNN) or the model ran structure-free.
-    pub pinned_structure: bool,
-    /// Forward passes measured.
-    pub forwards: usize,
-    /// Total wall time of the measured forwards, ns.
-    pub total_ns: u64,
-}
-
-impl InferRecord {
-    pub(crate) fn to_json_line(&self, task: &str) -> String {
-        format!(
-            "{{\"kind\": \"infer\", \"task\": {}, \"checkpoint\": {}, \"model\": {}, \
-             \"dataset\": {}, \"n_nodes\": {}, \"pinned_structure\": {}, \
-             \"forwards\": {}, \"total_ns\": {}}}",
-            string(task),
-            string(&self.checkpoint),
-            string(&self.model),
-            string(&self.dataset),
-            self.n_nodes,
-            self.pinned_structure,
-            self.forwards,
-            self.total_ns,
-        )
-    }
-}
-
 /// One served online-inference request, emitted as `kind: "serve"`.
 ///
 /// mg-serve emits one record per HTTP request, successful or rejected.
@@ -457,24 +414,6 @@ mod tests {
         assert_eq!(v.get("sampled_nodes").unwrap().as_f64(), Some(410.0));
         assert_eq!(v.get("truncated").unwrap().as_f64(), Some(12.0));
         assert_eq!(v.get("loss").unwrap().as_f64(), Some(1.75));
-    }
-
-    #[test]
-    fn infer_line_parses() {
-        let rec = InferRecord {
-            checkpoint: "out/ck.mgc".into(),
-            model: "AdamGNN".into(),
-            dataset: "cora".into(),
-            n_nodes: 120,
-            pinned_structure: true,
-            forwards: 10,
-            total_ns: 12_345,
-        };
-        let v = Json::parse(&rec.to_json_line("node_classification")).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("infer"));
-        assert_eq!(v.get("checkpoint").unwrap().as_str(), Some("out/ck.mgc"));
-        assert_eq!(v.get("forwards").unwrap().as_f64(), Some(10.0));
-        assert_eq!(v.get("pinned_structure"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! table sweep) share a single chronologically ordered trace.
 
 use crate::record::{
-    kernel_stats_json_line, EpochRecord, InferRecord, RunEnd, RunMeta, SampleStepRecord,
-    ServeRecord,
+    kernel_stats_json_line, EpochRecord, RunEnd, RunMeta, SampleStepRecord, ServeRecord,
 };
 use crate::summary::render_summary;
 use std::fs::OpenOptions;
@@ -158,14 +157,6 @@ impl Trace {
     /// Emit one `sample_step` record describing one sampled-minibatch
     /// optimizer step.
     pub fn sample_step(&mut self, rec: &SampleStepRecord) {
-        if let Some(inner) = &mut self.inner {
-            let line = rec.to_json_line(&inner.task);
-            Self::write_line(inner, &line);
-        }
-    }
-
-    /// Emit one `infer` record describing a frozen-model inference job.
-    pub fn infer(&mut self, rec: &InferRecord) {
         if let Some(inner) = &mut self.inner {
             let line = rec.to_json_line(&inner.task);
             Self::write_line(inner, &line);

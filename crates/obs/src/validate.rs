@@ -1,8 +1,8 @@
 //! Trace-file validation: every line must parse as JSON and carry the
-//! keys its `kind` promises. The `train_report` binary (and through it
-//! the obs-smoke CI job) runs this over freshly emitted traces, so a
-//! schema regression fails the build rather than silently shipping an
-//! unreadable trace.
+//! keys its `kind` promises. The trace tests (`obs_emission` on traced
+//! trainer runs, `serve_trace` on a live server) run this over freshly
+//! emitted traces, so a schema regression fails the build rather than
+//! silently shipping an unreadable trace.
 
 use crate::json::Json;
 
@@ -15,8 +15,6 @@ pub struct TraceReport {
     pub epochs: usize,
     pub kernel_stats: usize,
     pub run_ends: usize,
-    /// `infer` records (frozen-model inference jobs).
-    pub infers: usize,
     /// `serve` records (one per online-inference request).
     pub serves: usize,
     /// `sample_step` records (one per sampled-minibatch optimizer step).
@@ -61,16 +59,6 @@ const EPOCH_KEYS: &[&str] = &[
 ];
 const RUN_END_KEYS: &[&str] = &["task", "epochs_run", "best_val", "test_metric", "wall_s"];
 const KERNEL_KEYS: &[&str] = &["task", "kernels"];
-const INFER_KEYS: &[&str] = &[
-    "task",
-    "checkpoint",
-    "model",
-    "dataset",
-    "n_nodes",
-    "pinned_structure",
-    "forwards",
-    "total_ns",
-];
 const SAMPLE_STEP_KEYS: &[&str] = &[
     "task",
     "epoch",
@@ -139,10 +127,6 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
             "run_end" => {
                 require_keys(&v, RUN_END_KEYS, line_no)?;
                 report.run_ends += 1;
-            }
-            "infer" => {
-                require_keys(&v, INFER_KEYS, line_no)?;
-                report.infers += 1;
             }
             "serve" => {
                 require_keys(&v, SERVE_KEYS, line_no)?;
@@ -226,27 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_record_validates() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut t = Trace::to_writer("node_classification", Box::new(Shared(buf.clone())));
-        t.infer(&crate::record::InferRecord {
-            checkpoint: "ck.mgc".into(),
-            model: "AdamGNN".into(),
-            dataset: "cora".into(),
-            n_nodes: 9,
-            pinned_structure: false,
-            forwards: 3,
-            total_ns: 42,
-        });
-        drop(t);
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let report = validate_trace(&text).expect("infer trace validates");
-        assert_eq!(report.infers, 1);
-        // a truncated infer record must be rejected
-        assert!(validate_trace("{\"kind\": \"infer\", \"task\": \"t\"}\n").is_err());
-    }
-
-    #[test]
     fn serve_record_validates() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let mut t = Trace::to_writer("serve", Box::new(Shared(buf.clone())));
@@ -306,6 +269,9 @@ mod tests {
         assert!(validate_trace("").is_err());
         assert!(validate_trace("not json\n").is_err());
         assert!(validate_trace("{\"kind\": \"mystery\"}\n").is_err());
+        // `infer` is not a record kind
+        let err = validate_trace("{\"kind\": \"infer\", \"task\": \"t\"}\n").unwrap_err();
+        assert!(err.contains("unknown kind"), "error was: {err}");
         // an epoch record missing its loss decomposition keys
         assert!(validate_trace("{\"kind\": \"epoch\", \"task\": \"t\", \"epoch\": 0}\n").is_err());
         // an otherwise-complete epoch record missing only peak_tape_bytes

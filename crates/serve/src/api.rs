@@ -1,6 +1,6 @@
-//! The wire types of the inference API, shared by online serving
-//! (mg-serve's HTTP endpoints) and offline inference (the `infer`
-//! bench binary) so the two cannot drift.
+//! The wire types of the inference API, shared by mg-serve's HTTP
+//! endpoints and every client of them (the e2e tests and perfbench's
+//! `serve_cora` load generator) so the two sides cannot drift.
 //!
 //! Encoding uses mg-obs's JSON helpers: floats render as Rust's shortest
 //! round-tripping decimal, so an `f64` survives encode → decode with its

@@ -72,8 +72,9 @@ impl ModelService {
     }
 
     /// Sequential reference path: execute one request as a batch of one.
-    /// The `infer` bench serves its offline forwards through this, so
-    /// offline and online inference share one code path by construction.
+    /// The socket-level e2e test takes its reference answers from this,
+    /// and a traced perfbench `serve_cora` run times it as
+    /// `serve.handle_one`.
     pub fn handle_one(&self, req: ApiRequest) -> Result<ApiResponse, ServeError> {
         let (mut results, _) = self.execute(vec![req]);
         results.pop().expect("execute answers every request")

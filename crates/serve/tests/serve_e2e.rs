@@ -97,6 +97,8 @@ fn healthz_and_statsz_report_identity_and_counters() {
     let (status, body) = client.request("GET", "/statsz", None).unwrap();
     assert_eq!(status, 200);
     let v = Json::parse(&body).unwrap();
+    assert_eq!(v.get("model").unwrap().as_str(), Some("AdamGNN"));
+    assert!(v.get("dataset").unwrap().as_str().is_some());
     assert!(v.get("requests").unwrap().as_f64().unwrap() >= 2.0);
     assert!(v.get("flushes").is_none()); // nested under "batch"
     let batch = v.get("batch").unwrap();
@@ -199,9 +201,17 @@ fn concurrent_batched_responses_match_sequential_bitwise() {
     let mut client = HttpClient::connect(addr).unwrap();
     let (_, body) = client.request("GET", "/statsz", None).unwrap();
     let v = Json::parse(&body).unwrap();
-    let hist = v.get("batch").unwrap().get("hist").unwrap();
+    let batch = v.get("batch").unwrap();
+    let hist = batch.get("hist").unwrap();
     let coalesced = (2..=8).any(|k| hist.get(&k.to_string()).is_some());
     assert!(coalesced, "no flush held more than one request: {body}");
+    // the flush-size histogram accounts for every flush
+    let Json::Obj(counts) = hist else {
+        panic!("hist is not an object: {body}");
+    };
+    let flushed: f64 = counts.values().filter_map(Json::as_f64).sum();
+    let flushes = batch.get("flushes").and_then(Json::as_f64);
+    assert_eq!(Some(flushed), flushes, "hist sum != flushes: {body}");
     server.shutdown();
 }
 
