@@ -247,8 +247,7 @@ impl AdamGnn {
         // interior buffers are resident (see crate::overrides).
         let ckpt = crate::overrides::resolve_ckpt(self.cfg.checkpoint);
         // ---- primary node representation (Eq. 1) ----
-        let x = ctx.x_var(tape);
-        let mut h0 = self.gcn0.forward(tape, bind, ctx, x);
+        let mut h0 = self.gcn0.forward_features(tape, bind, ctx);
         if train && self.cfg.dropout > 0.0 {
             h0 = tape.dropout(h0, self.cfg.dropout, rng);
         }

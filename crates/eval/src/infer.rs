@@ -213,11 +213,11 @@ impl FrozenModel {
     }
 
     fn check_in_dim(&self, ctx: &GraphCtx) -> Result<(), MgError> {
-        if ctx.x.cols() != self.ck.meta.in_dim {
+        if ctx.x().cols() != self.ck.meta.in_dim {
             return Err(MgError::Mismatch {
                 detail: format!(
                     "features have width {} but the model was built for {}",
-                    ctx.x.cols(),
+                    ctx.x().cols(),
                     self.ck.meta.in_dim
                 ),
             });
@@ -323,6 +323,37 @@ mod tests {
             }
             Err(other) => panic!("doctored structure must be a Mismatch, got {other}"),
             Ok(_) => panic!("doctored structure must not load"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A non-finite weight in a CRC-valid checkpoint fails the load. The
+    /// first layer's product is sparse over the features, so a NaN in
+    /// row k of its weight would otherwise poison only the nodes whose
+    /// feature k is non-zero: a partial result.
+    #[test]
+    fn frozen_model_rejects_non_finite_parameters() {
+        let dir = std::env::temp_dir().join("mg_infer_test_non_finite");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = trained_checkpoint(&dir, NodeModelKind::AdamGnn);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ck = Checkpoint::load(&path).unwrap();
+            let w = ck
+                .params
+                .iter_mut()
+                .find(|p| p.name == "adam.gcn0.w")
+                .expect("AdamGNN has a first GCN weight");
+            w.value[(3, 1)] = bad;
+            let doctored = dir.join("non_finite.mgck");
+            ck.save(&doctored).unwrap();
+            assert!(Checkpoint::load(&doctored).is_ok(), "every CRC passes");
+            match FrozenModel::load(&doctored) {
+                Err(MgError::InvalidInput { detail }) => {
+                    assert!(detail.contains("adam.gcn0.w"), "unhelpful detail: {detail}")
+                }
+                Err(other) => panic!("non-finite weight must be InvalidInput, got {other}"),
+                Ok(_) => panic!("non-finite weight {bad} must not load"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

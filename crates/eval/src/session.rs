@@ -209,7 +209,7 @@ impl TrainSession {
                 ds.samples.iter().all(|s| s.label < GRAPH_CLASSES),
             ),
             SessionInput::Prebuilt { contexts, .. } => (
-                contexts.iter().all(|(c, _)| c.x.all_finite()),
+                contexts.iter().all(|(c, _)| c.x().all_finite()),
                 contexts.iter().all(|&(_, l)| l < GRAPH_CLASSES),
             ),
         };

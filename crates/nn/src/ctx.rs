@@ -5,15 +5,21 @@
 //! forward pass.
 
 use mg_graph::{gcn_norm, neighbor_mean, unit_adj, NormAdj, Topology};
-use mg_tensor::{Matrix, Tape, Var};
+use mg_tensor::{Csr, Matrix, Tape, Var};
 use std::rc::Rc;
 
 /// Everything a GNN forward pass needs about one graph.
 #[derive(Clone)]
 pub struct GraphCtx {
     pub graph: Rc<Topology>,
-    /// Dense node features.
-    pub x: Matrix,
+    /// Dense node features. Private so the sparse copy below cannot go
+    /// stale: read them through [`GraphCtx::x`].
+    x: Matrix,
+    /// `x`'s non-zero pattern, for the sparse input product
+    /// ([`GraphCtx::x_sparse_var`]).
+    x_csr: Rc<Csr>,
+    /// `x`'s non-zero values (`1 x nnz`), aligned with `x_csr`.
+    x_values: Rc<Matrix>,
     /// Symmetric GCN normalisation of `A + I`.
     pub gcn: NormAdj,
     /// Mean over neighbours (no self loop) — GraphSAGE aggregation.
@@ -36,9 +42,12 @@ impl GraphCtx {
         let nmean = neighbor_mean(&graph);
         let unit = unit_adj(&graph);
         let (src, dst) = graph.directed_edges_with_self_loops();
+        let (x_csr, x_values) = Csr::from_dense(&x);
         GraphCtx {
             graph: Rc::new(graph),
             x,
+            x_csr: Rc::new(x_csr),
+            x_values: Rc::new(Matrix::from_vec(1, x_values.len(), x_values)),
             gcn,
             nmean,
             unit,
@@ -52,6 +61,11 @@ impl GraphCtx {
         self.graph.n()
     }
 
+    /// Dense node features.
+    pub fn x(&self) -> &Matrix {
+        &self.x
+    }
+
     /// Feature dimension.
     pub fn feat_dim(&self) -> usize {
         self.x.cols()
@@ -62,9 +76,18 @@ impl GraphCtx {
         tape.constant(self.x.clone())
     }
 
+    /// Put `x`'s non-zero values on the tape as a constant and return the
+    /// pieces `spmm` needs to compute `x·W`. The product skips only
+    /// `x = ±0` terms, so it equals the dense `matmul` bitwise for finite
+    /// `W` (see `Csr::from_dense`).
+    pub fn x_sparse_var(&self, tape: &Tape) -> (Rc<Csr>, Var) {
+        let vals = tape.constant(self.x_values.as_ref().clone());
+        (self.x_csr.clone(), vals)
+    }
+
     /// Put an adjacency's values on the tape as a constant and return the
     /// pieces `spmm` needs.
-    pub fn adj_var(&self, tape: &Tape, adj: &NormAdj) -> (Rc<mg_tensor::Csr>, Var) {
+    pub fn adj_var(&self, tape: &Tape, adj: &NormAdj) -> (Rc<Csr>, Var) {
         let vals = tape.constant(Matrix::from_vec(1, adj.values.len(), adj.values.clone()));
         (adj.csr.clone(), vals)
     }

@@ -63,18 +63,44 @@ impl GcnLayer {
         h: Var,
     ) -> Var {
         let hw = tape.matmul(h, bind.var(self.w));
-        if self.act == Activation::Relu {
-            return tape.spmm_bias_relu(csr, adj_values, hw, bind.var(self.b));
-        }
-        let agg = tape.spmm(csr, adj_values, hw);
-        let z = tape.add_bias(agg, bind.var(self.b));
-        apply_act(tape, z, self.act)
+        self.aggregate(tape, bind, csr, adj_values, hw)
     }
 
     /// Forward on a graph context using its GCN-normalised adjacency.
     pub fn forward(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx, h: Var) -> Var {
         let (csr, vals) = ctx.adj_var(tape, &ctx.gcn);
         self.forward_adj(tape, bind, csr, vals, h)
+    }
+
+    /// [`GcnLayer::forward`] on the context's own features, with `x·W`
+    /// taken as a sparse product over `x`'s non-zeros (its backward is
+    /// `spmm_t` rather than a dense `matmul_tn`). Bitwise equal to
+    /// `forward(.., ctx.x_var(tape))` for finite `W`; a non-finite
+    /// weight reaches only the rows whose matching feature is non-zero,
+    /// which is why the trainer's non-finite gradient check and the
+    /// checkpoint load reject one before it gets here.
+    pub fn forward_features(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx) -> Var {
+        let (x_csr, x_vals) = ctx.x_sparse_var(tape);
+        let (csr, vals) = ctx.adj_var(tape, &ctx.gcn);
+        let xw = tape.spmm(x_csr, x_vals, bind.var(self.w));
+        self.aggregate(tape, bind, csr, vals, xw)
+    }
+
+    /// `act(A · hw + b)`.
+    fn aggregate(
+        &self,
+        tape: &Tape,
+        bind: &Binding,
+        csr: Rc<mg_tensor::Csr>,
+        adj_values: Var,
+        hw: Var,
+    ) -> Var {
+        if self.act == Activation::Relu {
+            return tape.spmm_bias_relu(csr, adj_values, hw, bind.var(self.b));
+        }
+        let agg = tape.spmm(csr, adj_values, hw);
+        let z = tape.add_bias(agg, bind.var(self.b));
+        apply_act(tape, z, self.act)
     }
 }
 
@@ -267,6 +293,41 @@ mod tests {
             tape.value(out).data().iter().all(|&v| v >= 0.0),
             "relu output"
         );
+    }
+
+    /// The sparse first-layer product is bitwise the dense one, in value
+    /// and in every parameter gradient.
+    #[test]
+    fn gcn_forward_features_matches_dense_input_bitwise() {
+        let g = Topology::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]);
+        let x = Matrix::from_fn(6, 7, |i, j| match (i * 7 + j * 3) % 5 {
+            0 | 1 => -0.5 * (i as f64 + 1.0),
+            2 => 0.25 * j as f64,
+            _ => 0.0,
+        });
+        let ctx = GraphCtx::new(g, x);
+        let mut store = ParamStore::new();
+        let layer = GcnLayer::new(&mut store, "gcn", 7, 4, Activation::Relu, &mut rng());
+        let run = |sparse: bool| {
+            let tape = Tape::new();
+            let bind = store.bind(&tape);
+            let out = if sparse {
+                layer.forward_features(&tape, &bind, &ctx)
+            } else {
+                layer.forward(&tape, &bind, &ctx, ctx.x_var(&tape))
+            };
+            let value = tape.value_cloned(out);
+            let grads = tape.backward(tape.sum_all(tape.mul_elem(out, out)));
+            let gw = grads.get(bind.var(layer.w)).unwrap().clone();
+            let gb = grads.get(bind.var(layer.b)).unwrap().clone();
+            (value, gw, gb, tape.len())
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (dense, sparse) = (run(false), run(true));
+        assert_eq!(bits(&sparse.0), bits(&dense.0), "value");
+        assert_eq!(bits(&sparse.1), bits(&dense.1), "dW");
+        assert_eq!(bits(&sparse.2), bits(&dense.2), "db");
+        assert_eq!(sparse.3, dense.3, "tape op count");
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl GraphClassifier for ThreeWlGc {
         for f in 0..self.feat_channels {
             let mut d = Matrix::zeros(n, n);
             for i in 0..n {
-                d[(i, i)] = ctx.x[(i, f)];
+                d[(i, i)] = ctx.x()[(i, f)];
             }
             channels.push(tape.constant(d));
         }

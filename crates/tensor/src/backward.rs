@@ -15,7 +15,8 @@
 use crate::checkpoint::segment_containing;
 use crate::error::MgError;
 use crate::matrix::Matrix;
-use crate::ops::{kl_distributions, sigmoid, softmax_rows};
+use crate::ops::{sigmoid, softmax_rows, KlStats};
+use crate::par;
 use crate::tape::{Gradients, Op, Tape, Var};
 
 impl Tape {
@@ -404,33 +405,11 @@ impl Tape {
                     cache,
                     target,
                 } => {
-                    let hv = nodes[h.0].val();
-                    let (n, d) = hv.shape();
-                    let t = &cache.t;
-                    let (q, self_p) = kl_distributions(t);
-                    let p = target.as_deref().unwrap_or(&self_p);
-                    let gs = g.scalar() / n as f64;
-                    let mut gh = Matrix::zeros(n, d);
-                    for j in 0..n {
-                        let t_row_sum: f64 = t.row(j).iter().sum();
-                        for (c, &e) in egos.iter().enumerate() {
-                            // dL/dt_jc with P detached:
-                            //   (1/T_j) (1 - p/q) -- scaled by gs (mean over n)
-                            let qv = q[(j, c)];
-                            if qv <= 0.0 {
-                                continue;
-                            }
-                            let dl_dt = gs * (1.0 - p[(j, c)] / qv) / t_row_sum;
-                            let tv = t[(j, c)];
-                            let coef = dl_dt * (-tv * tv) * 2.0;
-                            for k in 0..d {
-                                let diff = hv[(j, k)] - hv[(e, k)];
-                                gh[(j, k)] += coef * diff;
-                                gh[(e, k)] -= coef * diff;
-                            }
-                        }
-                    }
-                    acc!(*h, gh);
+                    let gs = g.scalar() / nodes[h.0].shape.0 as f64;
+                    acc!(
+                        *h,
+                        student_t_kl_grad(nodes[h.0].val(), egos, &cache.t, target.as_deref(), gs)
+                    );
                 }
                 Op::Exp(a) => {
                     // d exp(x) = exp(x) dx; out already holds exp(x)
@@ -489,6 +468,62 @@ impl Tape {
         );
         Ok(Gradients { grads })
     }
+}
+
+/// `dL/dh` of the Student-t KL loss with `P` detached, scaled by `gs`
+/// (the upstream gradient over `n`, the loss being a mean over nodes).
+///
+/// Rows of `Q` and `P` are streamed from [`KlStats`], never stored. Each
+/// element of the result accumulates in the (j, c, k) order of the plain
+/// triple loop: rows `j` and `e` are updated as two disjoint slices, and
+/// the `e == j` terms keep the scalar loop so `gh_j += c·0; gh_j -= c·0`
+/// runs in its original order.
+fn student_t_kl_grad(
+    hv: &Matrix,
+    egos: &[usize],
+    t: &Matrix,
+    target: Option<&Matrix>,
+    gs: f64,
+) -> Matrix {
+    par::timed("student_t_kl_grad", || {
+        let (n, d) = hv.shape();
+        let m = egos.len();
+        let stats = KlStats::new(t);
+        let (mut q, mut self_p) = (vec![0.0f64; m], vec![0.0f64; m]);
+        let mut gh = Matrix::zeros(n, d);
+        for j in 0..n {
+            let p = stats.rows(t, j, target, &mut q, &mut self_p);
+            let t_row_sum = stats.row_sum(j);
+            for (c, &e) in egos.iter().enumerate() {
+                // dL/dt_jc with P detached:
+                //   (1/T_j) (1 - p/q) -- scaled by gs (mean over n)
+                let qv = q[c];
+                if qv <= 0.0 {
+                    continue;
+                }
+                let dl_dt = gs * (1.0 - p[c] / qv) / t_row_sum;
+                let tv = t[(j, c)];
+                let coef = dl_dt * (-tv * tv) * 2.0;
+                let rows = [j * d..(j + 1) * d, e * d..(e + 1) * d];
+                if let Ok([gj, ge]) = gh.data_mut().get_disjoint_mut(rows) {
+                    for (((oj, oe), &a), &b) in gj.iter_mut().zip(ge).zip(hv.row(j)).zip(hv.row(e))
+                    {
+                        let diff = a - b;
+                        *oj += coef * diff;
+                        *oe -= coef * diff;
+                    }
+                } else {
+                    // e == j
+                    for k in 0..d {
+                        let diff = hv[(j, k)] - hv[(e, k)];
+                        gh[(j, k)] += coef * diff;
+                        gh[(e, k)] -= coef * diff;
+                    }
+                }
+            }
+        }
+        gh
+    })
 }
 
 /// Numerically stable softmax re-export used by the backward pass tests.

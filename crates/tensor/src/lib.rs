@@ -35,6 +35,8 @@ mod checkpoint;
 mod csr;
 mod error;
 pub mod gradcheck;
+#[cfg(test)]
+mod kl_oracle;
 mod matrix;
 mod ops;
 mod optim;

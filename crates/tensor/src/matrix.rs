@@ -200,7 +200,12 @@ impl Matrix {
     /// product to it leaves every bit unchanged — which is why the
     /// checked-in golden traces survived the skip's removal untouched.
     /// (Sparse `spmm` kernels differ by design: a stored zero there is
-    /// structural — see `csr.rs`.)
+    /// structural — see `csr.rs`. The AdamGNN input product `x·W` runs
+    /// through `spmm` over `Csr::from_dense(x)` and so follows the sparse
+    /// contract: a non-finite weight row reaches only the nodes whose
+    /// matching feature is non-zero. The trainer's non-finite gradient
+    /// check and `ParamStore::import_state` on checkpoint load reject
+    /// such a weight instead.)
     fn matmul_rows(&self, rhs: &Matrix, range: std::ops::Range<usize>, block: &mut [f64]) {
         let w = rhs.cols;
         // ikj loop order: the inner loop walks contiguous rows of `rhs`

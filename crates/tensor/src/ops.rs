@@ -16,6 +16,7 @@ use std::rc::Rc;
 
 use crate::csr::Csr;
 use crate::matrix::Matrix;
+use crate::par;
 use crate::tape::{BceCache, KlCache, Node, Op, Tape, Var};
 
 impl Tape {
@@ -600,18 +601,15 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
         Op::StudentTKl { cache, target, .. } => {
             let t = &cache.t;
             let (n, m) = t.shape();
-            let (q, self_p) = kl_distributions(t);
-            let p = match target {
-                Some(p) => {
-                    assert_eq!(p.shape(), (n, m), "student_t_kl: target shape mismatch");
-                    p.as_ref()
-                }
-                None => &self_p,
-            };
+            if let Some(p) = target {
+                assert_eq!(p.shape(), (n, m), "student_t_kl: target shape mismatch");
+            }
+            let stats = KlStats::new(t);
+            let (mut q, mut self_p) = (vec![0.0f64; m], vec![0.0f64; m]);
             let mut loss = 0.0;
             for j in 0..n {
-                for c in 0..m {
-                    let (pj, qj) = (p[(j, c)], q[(j, c)]);
+                let p = stats.rows(t, j, target.as_deref(), &mut q, &mut self_p);
+                for (&pj, &qj) in p.iter().zip(&q) {
                     if pj > 0.0 {
                         loss += pj * (pj / qj).ln();
                     }
@@ -664,21 +662,41 @@ fn col_means(m: &Matrix) -> Vec<f64> {
 }
 
 /// The Student-t kernel `t[j, c] = (1 + ||h_j - h_{ego_c}||^2)^{-1}`.
-fn student_t_kernel(h: &Matrix, egos: &[usize]) -> Matrix {
-    let n = h.rows();
-    let m = egos.len();
-    let mut t = Matrix::zeros(n, m);
-    for j in 0..n {
-        for (c, &e) in egos.iter().enumerate() {
-            let mut d2 = 0.0;
-            for (a, b) in h.row(j).iter().zip(h.row(e)) {
-                let diff = a - b;
-                d2 += diff * diff;
+///
+/// Four egos share one pass over `h_j`, but each squared distance still
+/// accumulates over `k` in ascending order from `0.0`, exactly as a
+/// one-ego loop does, so every entry keeps its bits.
+pub(crate) fn student_t_kernel(h: &Matrix, egos: &[usize]) -> Matrix {
+    par::timed("student_t_kernel", || {
+        let mut t = Matrix::zeros(h.rows(), egos.len());
+        for j in 0..h.rows() {
+            let hj = h.row(j);
+            let mut quads = egos.chunks_exact(4);
+            let mut out = t.row_mut(j).chunks_exact_mut(4);
+            for (e, o) in (&mut quads).zip(&mut out) {
+                let (r0, r1, r2, r3) = (h.row(e[0]), h.row(e[1]), h.row(e[2]), h.row(e[3]));
+                let mut d2 = [0.0f64; 4];
+                for ((((&a, &b0), &b1), &b2), &b3) in hj.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                    let diff = [a - b0, a - b1, a - b2, a - b3];
+                    for (acc, x) in d2.iter_mut().zip(diff) {
+                        *acc += x * x;
+                    }
+                }
+                for (o, d2) in o.iter_mut().zip(d2) {
+                    *o = 1.0 / (1.0 + d2);
+                }
             }
-            t[(j, c)] = 1.0 / (1.0 + d2);
+            for (o, &e) in out.into_remainder().iter_mut().zip(quads.remainder()) {
+                let mut d2 = 0.0;
+                for (a, b) in hj.iter().zip(h.row(e)) {
+                    let diff = a - b;
+                    d2 += diff * diff;
+                }
+                *o = 1.0 / (1.0 + d2);
+            }
         }
-    }
-    t
+        t
+    })
 }
 
 /// Logistic sigmoid with clamping against overflow.
@@ -738,38 +756,87 @@ pub(crate) fn segment_softmax(scores: &[f64], seg: &[usize], n_seg: usize) -> Ma
 /// to [`Tape::student_t_kl_with_target`] so central differences measure
 /// the same P-frozen objective the backward pass differentiates.
 pub fn student_t_target(h: &Matrix, egos: &[usize]) -> Matrix {
-    kl_distributions(&student_t_kernel(h, egos)).1
+    let t = student_t_kernel(h, egos);
+    let stats = KlStats::new(&t);
+    let mut q = vec![0.0f64; egos.len()];
+    let mut p = Matrix::zeros(t.rows(), t.cols());
+    for j in 0..t.rows() {
+        stats.q_row(&t, j, &mut q);
+        stats.p_row(&q, p.row_mut(j));
+    }
+    p
 }
 
-/// Compute the DEC soft assignment `Q` and target `P` from the Student-t
-/// kernel matrix `t` (`n x m`). Exposed for the backward pass and tests.
-pub(crate) fn kl_distributions(t: &Matrix) -> (Matrix, Matrix) {
-    let (n, m) = t.shape();
-    let mut q = Matrix::zeros(n, m);
-    for j in 0..n {
-        let row_sum: f64 = t.row(j).iter().sum();
-        for c in 0..m {
-            q[(j, c)] = t[(j, c)] / row_sum;
+/// The O(n + m) state from which rows of the DEC soft assignment `Q` and
+/// target `P` are rebuilt on demand from the Student-t kernel `t`
+/// (`n x m`): the row sums of `t` and the soft cluster frequencies
+/// `g_c = Σ_j q_jc`.
+///
+/// Streaming the rows instead of holding `Q` and `P` keeps two `n x m`
+/// matrices out of the forward and backward passes (see DESIGN.md). Each
+/// row is rebuilt with the same expressions in the same order a dense
+/// build would use, so every value keeps its bits.
+pub(crate) struct KlStats {
+    row_sum: Vec<f64>,
+    g: Vec<f64>,
+}
+
+impl KlStats {
+    pub(crate) fn new(t: &Matrix) -> Self {
+        let row_sum: Vec<f64> = (0..t.rows()).map(|j| t.row(j).iter().sum()).collect();
+        let mut g = vec![0.0f64; t.cols()];
+        for (j, &s) in row_sum.iter().enumerate() {
+            for (gc, &tv) in g.iter_mut().zip(t.row(j)) {
+                *gc += tv / s;
+            }
+        }
+        KlStats { row_sum, g }
+    }
+
+    /// `Σ_c t_jc`.
+    pub(crate) fn row_sum(&self, j: usize) -> f64 {
+        self.row_sum[j]
+    }
+
+    /// Row `j` of `Q` (`q_jc = t_jc / Σ_c t_jc`) into `q`.
+    pub(crate) fn q_row(&self, t: &Matrix, j: usize, q: &mut [f64]) {
+        let s = self.row_sum[j];
+        for (qc, &tv) in q.iter_mut().zip(t.row(j)) {
+            *qc = tv / s;
         }
     }
-    // soft cluster frequencies g_i = Σ_j q_ij
-    let mut g = vec![0.0f64; m];
-    for j in 0..n {
-        for c in 0..m {
-            g[c] += q[(j, c)];
+
+    /// Row `j` of `Q` into `q`, and the row of `P` the loss uses: row
+    /// `j` of `target` when given, else the self-target rebuilt into
+    /// `self_p`.
+    pub(crate) fn rows<'a>(
+        &self,
+        t: &Matrix,
+        j: usize,
+        target: Option<&'a Matrix>,
+        q: &mut [f64],
+        self_p: &'a mut [f64],
+    ) -> &'a [f64] {
+        self.q_row(t, j, q);
+        match target {
+            Some(p) => p.row(j),
+            None => {
+                self.p_row(q, self_p);
+                self_p
+            }
         }
     }
-    let mut p = Matrix::zeros(n, m);
-    for j in 0..n {
+
+    /// The row of `P` (`p_c ∝ q_c² / g_c`) for the `Q` row `q`, into `p`.
+    pub(crate) fn p_row(&self, q: &[f64], p: &mut [f64]) {
         let mut denom = 0.0;
-        for c in 0..m {
-            denom += q[(j, c)] * q[(j, c)] / g[c];
+        for (&qc, &gc) in q.iter().zip(&self.g) {
+            denom += qc * qc / gc;
         }
-        for c in 0..m {
-            p[(j, c)] = (q[(j, c)] * q[(j, c)] / g[c]) / denom;
+        for ((pc, &qc), &gc) in p.iter_mut().zip(q).zip(&self.g) {
+            *pc = (qc * qc / gc) / denom;
         }
     }
-    (q, p)
 }
 
 #[cfg(test)]
@@ -863,15 +930,20 @@ mod tests {
     }
 
     #[test]
-    fn kl_distributions_are_distributions() {
+    fn kl_rows_are_distributions() {
         let t = Matrix::from_vec(3, 2, vec![0.9, 0.1, 0.2, 0.8, 0.5, 0.5]);
-        let (q, p) = kl_distributions(&t);
+        let stats = KlStats::new(&t);
+        let (mut q, mut p) = ([0.0; 2], [0.0; 2]);
         for j in 0..3 {
-            assert!((q.row(j).iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert!((p.row(j).iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            stats.q_row(&t, j, &mut q);
+            stats.p_row(&q, &mut p);
+            assert!((q.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            // P sharpens Q: the dominant entry grows
+            if j == 0 {
+                assert!(p[0] > q[0]);
+            }
         }
-        // P sharpens Q: the dominant entry grows
-        assert!(p[(0, 0)] > q[(0, 0)]);
     }
 
     #[test]

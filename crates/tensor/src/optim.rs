@@ -247,8 +247,10 @@ impl ParamStore {
     /// The store must already hold the same parameter list (same count,
     /// names and shapes, in registration order) — i.e. the model must be
     /// rebuilt with the same architecture before importing. Any
-    /// disagreement is an [`MgError::Mismatch`]; on error the store is
-    /// left untouched.
+    /// disagreement is an [`MgError::Mismatch`]; a NaN or ±∞ anywhere in
+    /// a value or Adam moment is an [`MgError::InvalidInput`] (such a
+    /// snapshot can still pass a checkpoint's CRCs). On error the store
+    /// is left untouched.
     pub fn import_state(&mut self, snaps: &[ParamSnapshot], t: u64) -> Result<(), MgError> {
         if snaps.len() != self.params.len() {
             return Err(MgError::Mismatch {
@@ -282,6 +284,17 @@ impl ParamStore {
                         p.value.shape()
                     ),
                 });
+            }
+            for (what, m) in [("value", &s.value), ("m", &s.m), ("v", &s.v)] {
+                if let Some(k) = m.data().iter().position(|x| !x.is_finite()) {
+                    return Err(MgError::InvalidInput {
+                        detail: format!(
+                            "parameter '{}' {what} holds non-finite {} at flat index {k}",
+                            s.name,
+                            m.data()[k]
+                        ),
+                    });
+                }
             }
         }
         for (p, s) in self.params.iter_mut().zip(snaps) {
@@ -431,6 +444,31 @@ mod tests {
         let mut dst = ParamStore::new();
         dst.add("w", Matrix::zeros(2, 2));
         assert!(dst.import_state(&snaps, t).is_ok());
+    }
+
+    #[test]
+    fn import_rejects_non_finite_state_untouched() {
+        let mut src = ParamStore::new();
+        src.add("w", Matrix::full(2, 2, 0.5));
+        let (clean, t) = src.export_state();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..3 {
+                let mut snaps = clean.clone();
+                let m = match field {
+                    0 => &mut snaps[0].value,
+                    1 => &mut snaps[0].m,
+                    _ => &mut snaps[0].v,
+                };
+                m[(1, 0)] = bad;
+                let mut dst = ParamStore::new();
+                let w = dst.add("w", Matrix::full(2, 2, 7.0));
+                assert!(matches!(
+                    dst.import_state(&snaps, t),
+                    Err(MgError::InvalidInput { .. })
+                ));
+                assert_eq!(dst.value(w).data(), &[7.0; 4]);
+            }
+        }
     }
 
     #[test]
