@@ -148,12 +148,11 @@ impl FrozenModel {
     /// Batch entry point: gather the output rows for `ids` out of one
     /// full forward's output matrix.
     ///
-    /// mg-serve's micro-batcher runs [`FrozenModel::node_outputs`] once
-    /// per flush and answers every coalesced request from the same
-    /// matrix through these gathers — which is why responses are bitwise
-    /// identical however requests are batched. Any out-of-range id
-    /// rejects the whole request with [`MgError::InvalidInput`]; there
-    /// are no partial results.
+    /// mg-serve runs [`FrozenModel::node_outputs`] once at load and
+    /// answers every request from that matrix through these gathers —
+    /// which is why responses are bitwise identical however requests
+    /// are batched. Any out-of-range id rejects the whole request with
+    /// [`MgError::InvalidInput`]; there are no partial results.
     pub fn embeddings_from(h: &Matrix, ids: &[usize]) -> Result<Vec<Vec<f64>>, MgError> {
         Self::check_ids(h, ids)?;
         Ok(ids.iter().map(|&i| h.row(i).to_vec()).collect())

@@ -251,8 +251,8 @@ pub struct ServeRecord {
     pub batch_size: usize,
     /// Time spent queued before its flush started, ns.
     pub queue_ns: u64,
-    /// Wall time of the flush's single batched forward, ns (shared by
-    /// every request in the batch).
+    /// Wall time of the flush's execution, ns (shared by every request
+    /// in the batch).
     pub forward_ns: u64,
 }
 

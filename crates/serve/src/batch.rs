@@ -14,10 +14,10 @@
 //! The batcher never merges, reorders or splits the *contents* of
 //! requests; a flush hands the executor the pending requests in
 //! submission order and returns one result per request. With mg-serve's
-//! executor — one deterministic frozen forward per flush, answered by
-//! pure gathers — any interleaving of requests across flush windows
-//! yields bitwise the results of executing them one at a time (the
-//! `batch_prop` suite and the e2e test pin this).
+//! executor — pure gathers from an output table computed once at load —
+//! any interleaving of requests across flush windows yields bitwise the
+//! results of executing them one at a time (the `batch_prop` suite and
+//! the e2e test pin this).
 //!
 //! ## Fail-closed backpressure
 //!
@@ -26,9 +26,14 @@
 //! limit, and a submit after [`Batcher::close`] returns
 //! [`ServeError::ShuttingDown`]. Close drains: requests accepted before
 //! the close are still executed and answered.
+//!
+//! A flush whose executor panics answers each of its requests
+//! [`ServeError::Internal`] and the loop keeps serving, so no submitter
+//! waits forever; sound for mg-serve, whose executor state is immutable.
 
 use crate::error::ServeError;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -162,8 +167,10 @@ impl<Req: Send, Resp: Send> Batcher<Req, Resp> {
     /// The flusher loop. `exec` receives each flush's requests in
     /// submission order and must return one result per request plus the
     /// execution's wall time in ns; results are delivered to the
-    /// matching submitters. Runs until [`Batcher::close`] and the queue
-    /// is drained.
+    /// matching submitters. A flush whose `exec` panics or answers the
+    /// wrong number of requests answers each of them
+    /// [`ServeError::Internal`]. Runs until [`Batcher::close`] and the
+    /// queue is drained.
     pub fn serve_loop<F>(&self, mut exec: F)
     where
         F: FnMut(Vec<Req>) -> (Vec<Result<Resp, ServeError>>, u64),
@@ -176,12 +183,18 @@ impl<Req: Send, Resp: Send> Batcher<Req, Resp> {
                 .into_iter()
                 .map(|p| (p.req, (p.queued, p.reply)))
                 .unzip();
-            let (results, forward_ns) = exec(reqs);
-            assert_eq!(
-                results.len(),
-                batch_size,
-                "executor must answer every request in the batch"
-            );
+            let (results, forward_ns) = match catch_unwind(AssertUnwindSafe(|| exec(reqs))) {
+                Ok(out) if out.0.len() == batch_size => out,
+                _ => {
+                    let detail = "the flush panicked or left requests unanswered";
+                    let failed = (0..batch_size).map(|_| {
+                        Err(ServeError::Internal {
+                            detail: detail.into(),
+                        })
+                    });
+                    (failed.collect(), flushed.elapsed().as_nanos() as u64)
+                }
+            };
             for (result, (queued, reply)) in results.into_iter().zip(waiters) {
                 let meta = BatchMeta {
                     batch_size,
@@ -257,6 +270,50 @@ mod tests {
         }
         // 7 requests at max_batch 3 need at least 3 flushes
         assert!(flusher.join().unwrap() >= 3);
+    }
+
+    #[test]
+    fn a_panicking_flush_answers_internal_and_keeps_serving() {
+        let b: Arc<Batcher<u32, u32>> = Arc::new(Batcher::new(cfg(1, 0, 64)));
+        // the poisoned request is queued between two good ones, so one
+        // request waits behind the panicking flush
+        let queued: Vec<_> = [1, 13, 2].iter().map(|&r| b.submit(r).unwrap()).collect();
+        let flusher = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || {
+                b.serve_loop(|reqs| {
+                    let out = reqs
+                        .into_iter()
+                        .map(|r| {
+                            assert_ne!(r, 13, "poisoned request");
+                            Ok(r + 100)
+                        })
+                        .collect();
+                    (out, 1)
+                })
+            })
+        };
+        // a timeout, not a hang, if a reply never comes
+        let reply = |rx: mpsc::Receiver<Reply<u32>>| {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("every submitter gets a reply")
+                .0
+        };
+        let got: Vec<_> = queued.into_iter().map(reply).collect();
+        assert_eq!(got[0], Ok(101));
+        assert!(
+            matches!(got[1], Err(ServeError::Internal { .. })),
+            "{:?}",
+            got[1]
+        );
+        assert_eq!(got[2], Ok(102));
+        // the loop keeps serving after the panic ...
+        assert_eq!(reply(b.submit(3).unwrap()), Ok(103));
+        // ... and close still drains what was accepted
+        let last = b.submit(4).unwrap();
+        b.close();
+        flusher.join().expect("the flusher survives the panic");
+        assert_eq!(reply(last), Ok(104));
     }
 
     #[test]

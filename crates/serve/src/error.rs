@@ -18,11 +18,8 @@ pub enum ServeError {
     /// The HTTP request or its JSON body never parsed.
     BadRequest { detail: String },
     /// The body parsed but asks for something the model cannot do:
-    /// out-of-range node ids, too many items, wrong-task checkpoint.
+    /// out-of-range node ids, too many items.
     Invalid { detail: String },
-    /// The request disagrees with the loaded artifact (wrong job for
-    /// this checkpoint) — [`MgError::Mismatch`] surfaced over HTTP.
-    Mismatch { detail: String },
     /// Body larger than the configured cap; rejected before reading it.
     PayloadTooLarge { limit: usize, got: usize },
     /// No route at this path.
@@ -34,8 +31,8 @@ pub enum ServeError {
     Overloaded { depth: usize },
     /// The server is draining for shutdown and accepts no new work.
     ShuttingDown,
-    /// The model thread failed or died; details are server-side state,
-    /// not caller input.
+    /// The flush panicked or the model thread is gone; details are
+    /// server-side state, not caller input.
     Internal { detail: String },
 }
 
@@ -46,7 +43,6 @@ impl ServeError {
             ServeError::BadRequest { .. } | ServeError::Invalid { .. } => 400,
             ServeError::NotFound { .. } => 404,
             ServeError::MethodNotAllowed { .. } => 405,
-            ServeError::Mismatch { .. } => 409,
             ServeError::PayloadTooLarge { .. } => 413,
             ServeError::Overloaded { .. } | ServeError::ShuttingDown => 503,
             ServeError::Internal { .. } => 500,
@@ -58,7 +54,6 @@ impl ServeError {
         match self {
             ServeError::BadRequest { .. } => "bad_request",
             ServeError::Invalid { .. } => "invalid_input",
-            ServeError::Mismatch { .. } => "mismatch",
             ServeError::PayloadTooLarge { .. } => "payload_too_large",
             ServeError::NotFound { .. } => "not_found",
             ServeError::MethodNotAllowed { .. } => "method_not_allowed",
@@ -73,7 +68,6 @@ impl ServeError {
         match self {
             ServeError::BadRequest { detail }
             | ServeError::Invalid { detail }
-            | ServeError::Mismatch { detail }
             | ServeError::Internal { detail } => detail.clone(),
             ServeError::PayloadTooLarge { limit, got } => {
                 format!("body of {got} bytes exceeds the {limit}-byte cap")
@@ -111,7 +105,6 @@ impl From<MgError> for ServeError {
     fn from(e: MgError) -> ServeError {
         match e {
             MgError::InvalidInput { detail } => ServeError::Invalid { detail },
-            MgError::Mismatch { detail } => ServeError::Mismatch { detail },
             other => ServeError::Internal {
                 detail: other.to_string(),
             },
@@ -129,7 +122,6 @@ mod tests {
         let all = [
             ServeError::BadRequest { detail: "x".into() },
             ServeError::Invalid { detail: "x".into() },
-            ServeError::Mismatch { detail: "x".into() },
             ServeError::PayloadTooLarge { limit: 10, got: 20 },
             ServeError::NotFound {
                 path: "/nope".into(),
@@ -156,11 +148,13 @@ mod tests {
         }
         .into();
         assert_eq!(e.status(), 400);
+        // a model/graph mismatch fails `Server::start`; at request time
+        // it could only be a server fault
         let e: ServeError = MgError::Mismatch {
             detail: "job".into(),
         }
         .into();
-        assert_eq!(e.status(), 409);
+        assert_eq!(e.status(), 500);
         let e: ServeError = MgError::BadMagic { found: *b"ELF\x7f" }.into();
         assert_eq!(e.status(), 500);
     }

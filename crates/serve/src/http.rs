@@ -185,7 +185,6 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        409 => "Conflict",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",

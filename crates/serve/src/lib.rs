@@ -9,12 +9,12 @@
 //! * `GET /healthz` — model/dataset/task identity
 //! * `GET /statsz` — request counters, batch-size histogram, pool facts
 //!
-//! Concurrent requests are coalesced by a micro-batcher ([`batch`]) into
-//! one frozen forward per flush window; because the forward is
-//! request-independent and answers are pure gathers, responses are
-//! bitwise identical however requests interleave ([`service`]). Every
-//! rejection path is typed ([`error`]) and every request emits one
-//! mg-obs `serve` trace record.
+//! The one frozen forward runs at load, and its output table is kept
+//! for the server's lifetime ([`service`]). Concurrent requests are
+//! coalesced by a micro-batcher ([`batch`]) into flushes answered by
+//! pure gathers from that table, so responses are bitwise identical
+//! however requests interleave. Every rejection path is typed
+//! ([`error`]) and every request emits one mg-obs `serve` trace record.
 //!
 //! See `DESIGN.md` ("mg-serve") for the threading model and the
 //! determinism argument in full.

@@ -9,11 +9,11 @@
 //!   [`Batcher`] and block on their reply channel. Workers never touch
 //!   the model.
 //! * **Model thread** — the only thread that owns the [`FrozenModel`]
-//!   (which holds `Rc`s and is deliberately not `Send`). It runs the
-//!   batcher's flush loop: one deterministic forward per flush, pure
-//!   gathers per request. Under `--features parallel` that forward's
-//!   kernels run on mg-runtime's shared global pool, so one flush uses
-//!   every configured core (`MG_NUM_THREADS`).
+//!   (which holds `Rc`s and is deliberately not `Send`). At start-up it
+//!   runs the one deterministic forward and keeps its output table; then
+//!   it runs the batcher's flush loop, answering each request with pure
+//!   gathers from that table. A flush that panics answers its requests
+//!   with a typed `internal` error and the loop keeps serving.
 //! * **Telemetry thread** — owns the mg-obs [`Trace`] sink; workers send
 //!   it one `serve` record per request over a channel, keeping file I/O
 //!   off the latency path and the non-`Send` sink on one thread.
@@ -154,14 +154,21 @@ pub struct Server {
 impl Server {
     /// Bind, load the model, and start serving.
     ///
-    /// `init` runs on the model thread (the model may own `Rc`s); its
-    /// error fails `start` — a server that cannot serve must not come
-    /// up. The trace sink is mg-obs's `MG_TRACE` contract: unset means
-    /// every record is a no-op.
+    /// A zero `max_batch` or `max_queue` is rejected with
+    /// [`MgError::InvalidInput`] before anything binds. `init` runs on
+    /// the model thread (the model may own `Rc`s); its error fails
+    /// `start` — a server that cannot serve must not come up. The trace
+    /// sink is mg-obs's `MG_TRACE` contract: unset means every record is
+    /// a no-op.
     pub fn start<F>(cfg: ServeConfig, init: F) -> Result<Server, MgError>
     where
         F: FnOnce() -> Result<(FrozenModel, GraphCtx), MgError> + Send + 'static,
     {
+        let (batch, queue) = (cfg.max_batch, cfg.max_queue);
+        if batch == 0 || queue == 0 {
+            let detail = format!("max_batch ({batch}) and max_queue ({queue}) must be at least 1");
+            return Err(MgError::InvalidInput { detail });
+        }
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| MgError::InvalidInput {
             detail: format!("cannot bind {}: {e}", cfg.addr),
         })?;

@@ -1,15 +1,16 @@
-//! The model-side executor: one frozen forward per flush, answered by
-//! pure gathers.
+//! The model-side executor: one frozen forward at load, then pure
+//! gathers for every request.
 //!
 //! [`ModelService`] owns the (non-`Send`) [`FrozenModel`] and its
-//! serving [`GraphCtx`]; it lives on the flusher thread. A flush of any
-//! composition — node lookups and link scorings interleaved — costs one
-//! deterministic forward; each request is then answered from the same
-//! output matrix through the `FrozenModel::*_from` batch entry points.
-//! Because the forward does not depend on the requests and the gathers
-//! are per-request, the response to a request is bitwise identical
-//! whether it was flushed alone or with arbitrary companions — the
-//! determinism claim the e2e suite verifies over real sockets.
+//! serving [`GraphCtx`]; it lives on the flusher thread. The frozen
+//! outputs depend only on the graph and the trained parameters, so
+//! [`ModelService::new`] computes them once and keeps the matrix as the
+//! table every request is answered from, through the
+//! `FrozenModel::*_from` gathers. Because the table does not depend on
+//! the requests and the gathers are per-request, the response to a
+//! request is bitwise identical whether it was flushed alone or with
+//! arbitrary companions — the determinism claim the e2e suite verifies
+//! over real sockets.
 
 use crate::api::{ApiRequest, ApiResponse, LinksResponse, NodesResponse};
 use crate::error::ServeError;
@@ -18,19 +19,21 @@ use mg_nn::GraphCtx;
 use mg_tensor::{Matrix, MgError};
 use std::time::Instant;
 
-/// A frozen model bound to the graph it serves.
+/// A frozen model bound to the graph it serves, with the output table
+/// every request is answered from.
 pub struct ModelService {
     model: FrozenModel,
     ctx: GraphCtx,
+    table: Matrix,
 }
 
 impl ModelService {
-    /// Bind `model` to `ctx`, validating up front that the pairing can
-    /// serve node outputs at all (feature width, task kind) — a broken
-    /// pairing must fail at startup, not on the first request.
+    /// Bind `model` to `ctx` and compute the output table. A pairing
+    /// that cannot serve node outputs (feature width, task kind) fails
+    /// here, at startup, not on the first request.
     pub fn new(model: FrozenModel, ctx: GraphCtx) -> Result<ModelService, MgError> {
-        model.node_outputs(&ctx)?;
-        Ok(ModelService { model, ctx })
+        let table = model.node_outputs(&ctx)?;
+        Ok(ModelService { model, ctx, table })
     }
 
     pub fn model(&self) -> &FrozenModel {
@@ -42,46 +45,27 @@ impl ModelService {
         self.ctx.graph.n()
     }
 
-    /// One full deterministic forward over the serving graph.
+    /// One fresh full deterministic forward over the serving graph;
+    /// bitwise equal to the table the service answers from.
     pub fn forward(&self) -> Result<Matrix, MgError> {
         self.model.node_outputs(&self.ctx)
     }
 
-    /// Execute one flush: a single forward, then per-request gathers.
-    /// Returns one result per request (in order) and the forward's wall
-    /// time in ns. A request that fails (out-of-range id) fails alone
-    /// and completely; its companions are unaffected.
+    /// Execute one flush: per-request gathers from the table. Returns
+    /// one result per request (in order) and the flush's wall time in
+    /// ns. A request that fails (out-of-range id) fails alone and
+    /// completely; its companions are unaffected.
     pub fn execute(&self, reqs: Vec<ApiRequest>) -> (Vec<Result<ApiResponse, ServeError>>, u64) {
         let timer = Instant::now();
-        let h = match self.forward() {
-            Ok(h) => h,
-            Err(e) => {
-                // forward failure poisons the whole flush — but typed,
-                // per request, with no partial bodies
-                let e: ServeError = e.into();
-                let n = reqs.len();
-                return (vec![Err(e); n], timer.elapsed().as_nanos() as u64);
-            }
-        };
-        let forward_ns = timer.elapsed().as_nanos() as u64;
-        let results = reqs
-            .into_iter()
-            .map(|req| Self::answer_from(&h, req))
-            .collect();
-        (results, forward_ns)
+        let results = reqs.into_iter().map(|req| self.handle_one(req)).collect();
+        (results, timer.elapsed().as_nanos() as u64)
     }
 
-    /// Sequential reference path: execute one request as a batch of one.
-    /// The socket-level e2e test takes its reference answers from this,
-    /// and a traced perfbench `serve_cora` run times it as
-    /// `serve.handle_one`.
+    /// Answer one request from the table (pure gather). The socket-level
+    /// e2e test takes its reference answers from this, and a traced
+    /// perfbench `serve_cora` run times it as `serve.handle_one`.
     pub fn handle_one(&self, req: ApiRequest) -> Result<ApiResponse, ServeError> {
-        let (mut results, _) = self.execute(vec![req]);
-        results.pop().expect("execute answers every request")
-    }
-
-    /// Answer one request from a computed output matrix (pure gather).
-    fn answer_from(h: &Matrix, req: ApiRequest) -> Result<ApiResponse, ServeError> {
+        let h = &self.table;
         match req {
             ApiRequest::Nodes(r) => {
                 let embeddings = FrozenModel::embeddings_from(h, &r.ids)?;

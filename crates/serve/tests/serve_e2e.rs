@@ -12,8 +12,10 @@ use mg_eval::{FrozenModel, NodeModelKind, SessionKind, TrainConfig, TrainSession
 use mg_nn::GraphCtx;
 use mg_obs::Json;
 use mg_serve::{
-    ApiRequest, HttpClient, LinksRequest, ModelService, NodesRequest, ServeConfig, Server,
+    ApiRequest, ApiResponse, HttpClient, LinksRequest, ModelService, NodesRequest, ServeConfig,
+    Server,
 };
+use mg_tensor::MgError;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
@@ -213,6 +215,92 @@ fn concurrent_batched_responses_match_sequential_bitwise() {
     let flushes = batch.get("flushes").and_then(Json::as_f64);
     assert_eq!(Some(flushed), flushes, "hist sum != flushes: {body}");
     server.shutdown();
+}
+
+/// One bad request in a flush fails alone: its companions get exactly
+/// the gathers from an independently computed output matrix, and the
+/// same answers they get when executed alone.
+#[test]
+fn a_bad_request_fails_alone_within_a_flush() {
+    let ds = dataset();
+    let n_nodes = ds.n();
+    let ctx = || GraphCtx::new(ds.graph.clone(), ds.features.clone());
+    let svc = ModelService::new(FrozenModel::load(checkpoint()).unwrap(), ctx()).unwrap();
+    let h = FrozenModel::load(checkpoint())
+        .unwrap()
+        .node_outputs(&ctx())
+        .unwrap();
+
+    let ids = vec![0, n_nodes / 2, n_nodes - 1];
+    let pairs = vec![(0, n_nodes - 1), (3, 1)];
+    let flush = vec![
+        ApiRequest::Nodes(NodesRequest { ids: ids.clone() }),
+        ApiRequest::Nodes(NodesRequest {
+            ids: vec![1, n_nodes],
+        }),
+        ApiRequest::Links(LinksRequest {
+            pairs: pairs.clone(),
+        }),
+    ];
+    let (results, _) = svc.execute(flush.clone());
+    assert_eq!(results.len(), 3);
+
+    let bad = results[1].as_ref().unwrap_err();
+    assert_eq!((bad.status(), bad.code()), (400, "invalid_input"), "{bad}");
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let Ok(ApiResponse::Nodes(nodes)) = &results[0] else {
+        panic!("nodes request not answered with nodes: {:?}", results[0]);
+    };
+    let rows = FrozenModel::embeddings_from(&h, &ids).unwrap();
+    assert_eq!(nodes.embeddings.len(), rows.len());
+    for (got, want) in nodes.embeddings.iter().zip(&rows) {
+        assert_eq!(bits(got), bits(want));
+    }
+    assert_eq!(nodes.labels, FrozenModel::labels_from(&h, &ids).unwrap());
+    let Ok(ApiResponse::Links(links)) = &results[2] else {
+        panic!("links request not answered with links: {:?}", results[2]);
+    };
+    let scores = FrozenModel::link_scores_from(&h, &pairs).unwrap();
+    assert_eq!(bits(&links.scores), bits(&scores));
+
+    // each request alone gets the same answer it got in the flush
+    for (req, in_flush) in flush.into_iter().zip(&results) {
+        let alone = svc.handle_one(req);
+        match (&alone, in_flush) {
+            (Ok(a), Ok(b)) => assert_eq!(a.to_json(), b.to_json()),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("alone {alone:?} vs in flush {in_flush:?}"),
+        }
+    }
+}
+
+/// A zero batch cap or queue cap is a typed error, not a panic, and
+/// nothing binds.
+#[test]
+fn zero_batch_or_queue_cap_fails_start_typed() {
+    for cfg in [
+        ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            max_queue: 0,
+            ..ServeConfig::default()
+        },
+    ] {
+        let cfg = ephemeral(cfg);
+        let got = Server::start(cfg.clone(), || {
+            Err(MgError::Mismatch {
+                detail: "init must not run".into(),
+            })
+        });
+        match got {
+            Err(MgError::InvalidInput { .. }) => {}
+            Err(e) => panic!("{cfg:?}: expected InvalidInput, got {e}"),
+            Ok(_) => panic!("{cfg:?}: a server started"),
+        }
+    }
 }
 
 #[test]
