@@ -8,7 +8,8 @@
 //! curl -s localhost:7878/v1/nodes -d '{"ids": [0, 1, 2]}'
 //! ```
 //!
-//! All `MG_SERVE_*` knobs apply (see `ServeConfig::from_env`); with
+//! `MG_SERVE_ADDR`, `MG_SERVE_QUEUE`, `MG_SERVE_MAX_BODY` and
+//! `MG_SERVE_MAX_ITEMS` apply (see `ServeConfig::from_env`); with
 //! `MG_TRACE` set, every request appends a `serve` record.
 
 use mg_data::{make_node_dataset, NodeDataset, NodeDatasetKind, NodeGenConfig};

@@ -151,7 +151,7 @@ impl FrozenModel {
     /// mg-serve runs [`FrozenModel::node_outputs`] once at load and
     /// answers every request from that matrix through these gathers —
     /// which is why responses are bitwise identical however requests
-    /// are batched. Any out-of-range id rejects the whole request with
+    /// interleave. Any out-of-range id rejects the whole request with
     /// [`MgError::InvalidInput`]; there are no partial results.
     pub fn embeddings_from(h: &Matrix, ids: &[usize]) -> Result<Vec<Vec<f64>>, MgError> {
         Self::check_ids(h, ids)?;

@@ -27,8 +27,8 @@
 //!   registry, folding the `MG_KERNEL_STATS` story into the same file;
 //! * `run_end` — best validation / test metrics and total wall time;
 //! * `serve` — one online-inference request served by mg-serve: endpoint,
-//!   HTTP status, micro-batch size, queue wait and the batched forward's
-//!   wall time ([`ServeRecord`]).
+//!   HTTP status, items asked about and the gather's wall time
+//!   ([`ServeRecord`]).
 //!
 //! [`validate_trace`] re-parses an emitted trace and checks the schema;
 //! the trace tests (mg-eval's `obs_emission`, mg-serve's `serve_trace`)

@@ -232,11 +232,10 @@ impl SampleStepRecord {
 /// One served online-inference request, emitted as `kind: "serve"`.
 ///
 /// mg-serve emits one record per HTTP request, successful or rejected.
-/// Requests that reached the micro-batcher carry the flush they rode in
-/// (`batch_size`, shared `forward_ns`, per-request `queue_ns`); requests
-/// rejected before batching (malformed JSON, unknown route, payload cap,
-/// queue-full backpressure) record zeros there — the `status` field is
-/// what distinguishes the outcomes.
+/// Requests answered from the output table carry their gather time in
+/// `forward_ns`; requests rejected before that (malformed JSON, unknown
+/// route, payload cap, backpressure) and the GET routes record 0 there —
+/// the `status` field is what distinguishes the outcomes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeRecord {
     /// Request path (e.g. `/v1/nodes`).
@@ -246,13 +245,7 @@ pub struct ServeRecord {
     /// Node ids / node pairs in the request body (0 when the body never
     /// parsed).
     pub items: usize,
-    /// Requests coalesced into the flush this one was served by (0 for
-    /// requests rejected before batching).
-    pub batch_size: usize,
-    /// Time spent queued before its flush started, ns.
-    pub queue_ns: u64,
-    /// Wall time of the flush's execution, ns (shared by every request
-    /// in the batch).
+    /// Wall time of the request's gathers from the output table, ns.
     pub forward_ns: u64,
 }
 
@@ -260,13 +253,11 @@ impl ServeRecord {
     pub(crate) fn to_json_line(&self, task: &str) -> String {
         format!(
             "{{\"kind\": \"serve\", \"task\": {}, \"endpoint\": {}, \"status\": {}, \
-             \"items\": {}, \"batch_size\": {}, \"queue_ns\": {}, \"forward_ns\": {}}}",
+             \"items\": {}, \"forward_ns\": {}}}",
             string(task),
             string(&self.endpoint),
             self.status,
             self.items,
-            self.batch_size,
-            self.queue_ns,
             self.forward_ns,
         )
     }
@@ -422,16 +413,14 @@ mod tests {
             endpoint: "/v1/nodes".into(),
             status: 200,
             items: 4,
-            batch_size: 3,
-            queue_ns: 1_500,
             forward_ns: 90_000,
         };
         let v = Json::parse(&rec.to_json_line("serve")).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("serve"));
         assert_eq!(v.get("endpoint").unwrap().as_str(), Some("/v1/nodes"));
         assert_eq!(v.get("status").unwrap().as_f64(), Some(200.0));
-        assert_eq!(v.get("batch_size").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("queue_ns").unwrap().as_f64(), Some(1500.0));
+        assert_eq!(v.get("items").unwrap().as_f64(), Some(4.0));
+        assert_eq!(v.get("forward_ns").unwrap().as_f64(), Some(90_000.0));
     }
 
     #[test]

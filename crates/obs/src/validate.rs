@@ -69,15 +69,7 @@ const SAMPLE_STEP_KEYS: &[&str] = &[
     "truncated",
     "loss",
 ];
-const SERVE_KEYS: &[&str] = &[
-    "task",
-    "endpoint",
-    "status",
-    "items",
-    "batch_size",
-    "queue_ns",
-    "forward_ns",
-];
+const SERVE_KEYS: &[&str] = &["task", "endpoint", "status", "items", "forward_ns"];
 
 fn require_keys(v: &Json, keys: &[&str], line_no: usize) -> Result<(), String> {
     for key in keys {
@@ -217,23 +209,19 @@ mod tests {
             endpoint: "/v1/links".into(),
             status: 200,
             items: 2,
-            batch_size: 5,
-            queue_ns: 100,
             forward_ns: 9000,
         });
         t.serve(&crate::record::ServeRecord {
             endpoint: "/v1/nodes".into(),
             status: 400,
             items: 0,
-            batch_size: 0,
-            queue_ns: 0,
             forward_ns: 0,
         });
         drop(t);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let report = validate_trace(&text).expect("serve trace validates");
         assert_eq!(report.serves, 2);
-        // a serve record missing its batching keys must be rejected
+        // a serve record missing its status, items and timing keys must be rejected
         assert!(validate_trace(
             "{\"kind\": \"serve\", \"task\": \"serve\", \"endpoint\": \"/v1/nodes\"}\n"
         )

@@ -4,7 +4,7 @@
 //!
 //! Encoding uses mg-obs's JSON helpers: floats render as Rust's shortest
 //! round-tripping decimal, so an `f64` survives encode → decode with its
-//! exact bit pattern — the property the batched-equals-sequential
+//! exact bit pattern — the property the concurrent-equals-sequential
 //! bitwise guarantee is stated in terms of.
 
 use crate::error::ServeError;
@@ -38,14 +38,14 @@ pub struct LinksResponse {
     pub scores: Vec<f64>,
 }
 
-/// One request as the micro-batcher sees it.
+/// One parsed API request, as the answer path sees it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ApiRequest {
     Nodes(NodesRequest),
     Links(LinksRequest),
 }
 
-/// One response as the micro-batcher produces it.
+/// One API answer, as the answer path produces it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ApiResponse {
     Nodes(NodesResponse),

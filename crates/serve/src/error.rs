@@ -2,7 +2,7 @@
 //!
 //! mg-serve is fail-closed: every way a request can be unacceptable —
 //! unreadable HTTP, malformed JSON, out-of-range ids, an over-large
-//! payload, a full queue — maps to exactly one [`ServeError`] variant,
+//! payload, a server at capacity — maps to exactly one [`ServeError`] variant,
 //! which in turn fixes the HTTP status, a stable machine-readable `code`
 //! and a structured JSON error body. A rejected request never receives
 //! partial results, and model-side [`MgError`]s surface through the same
@@ -26,13 +26,11 @@ pub enum ServeError {
     NotFound { path: String },
     /// The path exists but not for this method.
     MethodNotAllowed { method: String },
-    /// The micro-batch queue is at capacity — explicit backpressure
-    /// instead of unbounded buffering.
+    /// `max_queue` requests are already being answered — explicit
+    /// backpressure instead of unbounded buffering.
     Overloaded { depth: usize },
-    /// The server is draining for shutdown and accepts no new work.
-    ShuttingDown,
-    /// The flush panicked or the model thread is gone; details are
-    /// server-side state, not caller input.
+    /// Answering the request panicked; details are server-side state,
+    /// not caller input.
     Internal { detail: String },
 }
 
@@ -44,7 +42,7 @@ impl ServeError {
             ServeError::NotFound { .. } => 404,
             ServeError::MethodNotAllowed { .. } => 405,
             ServeError::PayloadTooLarge { .. } => 413,
-            ServeError::Overloaded { .. } | ServeError::ShuttingDown => 503,
+            ServeError::Overloaded { .. } => 503,
             ServeError::Internal { .. } => 500,
         }
     }
@@ -58,7 +56,6 @@ impl ServeError {
             ServeError::NotFound { .. } => "not_found",
             ServeError::MethodNotAllowed { .. } => "method_not_allowed",
             ServeError::Overloaded { .. } => "overloaded",
-            ServeError::ShuttingDown => "shutting_down",
             ServeError::Internal { .. } => "internal",
         }
     }
@@ -77,9 +74,8 @@ impl ServeError {
                 format!("method {method} not allowed on this route")
             }
             ServeError::Overloaded { depth } => {
-                format!("batch queue full at depth {depth}; retry later")
+                format!("{depth} requests already in flight; retry later")
             }
-            ServeError::ShuttingDown => "server is draining for shutdown".into(),
         }
     }
 
@@ -130,7 +126,6 @@ mod tests {
                 method: "PUT".into(),
             },
             ServeError::Overloaded { depth: 8 },
-            ServeError::ShuttingDown,
             ServeError::Internal { detail: "x".into() },
         ];
         for e in all {

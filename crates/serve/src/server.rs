@@ -1,19 +1,20 @@
-//! The concurrent HTTP server: accept loop, per-connection workers, the
-//! model thread, and the telemetry thread.
+//! The concurrent HTTP server: a start-up thread that loads the model,
+//! then the acceptor, per-connection workers and the telemetry thread.
 //!
 //! ## Threading model
 //!
+//! * **Start-up thread** — [`Server::start`] runs the caller's `init`
+//!   and [`ModelService::new`] on one short-lived thread, because the
+//!   [`FrozenModel`] holds `Rc`s and is deliberately not `Send`. Only the
+//!   `Send` results cross back: the model's identity and its output
+//!   table. The model and its graph are dropped with the thread.
 //! * **Acceptor** — blocks on `TcpListener::accept`, spawns one worker
 //!   per connection (tracked by a gauge so shutdown can drain).
-//! * **Workers** — parse HTTP, validate JSON, submit to the shared
-//!   [`Batcher`] and block on their reply channel. Workers never touch
-//!   the model.
-//! * **Model thread** — the only thread that owns the [`FrozenModel`]
-//!   (which holds `Rc`s and is deliberately not `Send`). At start-up it
-//!   runs the one deterministic forward and keeps its output table; then
-//!   it runs the batcher's flush loop, answering each request with pure
-//!   gathers from that table. A flush that panics answers its requests
-//!   with a typed `internal` error and the loop keeps serving.
+//! * **Workers** — parse HTTP, validate JSON, and answer each API
+//!   request with a pure gather from the shared table. `max_queue`
+//!   bounds the requests being answered at once; one more is refused
+//!   503 `overloaded`. A request whose answer panics gets 500 `internal`
+//!   and the connection keeps serving.
 //! * **Telemetry thread** — owns the mg-obs [`Trace`] sink; workers send
 //!   it one `serve` record per request over a channel, keeping file I/O
 //!   off the latency path and the non-`Send` sink on one thread.
@@ -21,24 +22,22 @@
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] stops the acceptor, waits for in-flight
-//! connections to finish, closes the batcher (which *drains*: accepted
-//! requests still execute and answer), joins the model thread, then
-//! flushes and joins telemetry. Submits during the drain are rejected
-//! with a typed `shutting_down` body.
+//! connections to finish (each answers the request it has read), then
+//! flushes and joins telemetry.
 
 use crate::api::{healthz_body, ApiRequest, LinksRequest, NodesRequest};
-use crate::batch::{BatchCfg, BatchMeta, Batcher};
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, HttpRequest};
-use crate::service::ModelService;
+use crate::service::{gather, ModelService};
 use mg_eval::FrozenModel;
 use mg_nn::GraphCtx;
 use mg_obs::{ServeRecord, Trace};
-use mg_tensor::MgError;
+use mg_tensor::{Matrix, MgError};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,11 +50,14 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServeConfig {
     /// Bind address (`MG_SERVE_ADDR`); port 0 picks an ephemeral port.
     pub addr: String,
-    /// Most requests coalesced into one flush (`MG_SERVE_BATCH`).
+    /// Ignored: requests are not batched. Kept only because perfbench
+    /// builds this struct literally; removed with the next change to the
+    /// benchmark.
     pub max_batch: usize,
-    /// Longest a flush waits for stragglers, µs (`MG_SERVE_WAIT_US`).
+    /// Ignored, like `max_batch`, and removed with it.
     pub max_wait: Duration,
-    /// Most requests pending before backpressure (`MG_SERVE_QUEUE`).
+    /// Most API requests answered at once before backpressure
+    /// (`MG_SERVE_QUEUE`).
     pub max_queue: usize,
     /// Request body cap, bytes (`MG_SERVE_MAX_BODY`).
     pub max_body: usize,
@@ -89,14 +91,10 @@ impl ServeConfig {
         let d = ServeConfig::default();
         ServeConfig {
             addr: std::env::var("MG_SERVE_ADDR").unwrap_or(d.addr),
-            max_batch: env_or("MG_SERVE_BATCH", d.max_batch).max(1),
-            max_wait: Duration::from_micros(env_or(
-                "MG_SERVE_WAIT_US",
-                d.max_wait.as_micros() as u64,
-            )),
             max_queue: env_or("MG_SERVE_QUEUE", d.max_queue).max(1),
             max_body: env_or("MG_SERVE_MAX_BODY", d.max_body),
             max_items: env_or("MG_SERVE_MAX_ITEMS", d.max_items),
+            ..d
         }
     }
 }
@@ -118,25 +116,88 @@ struct StatsInner {
     by_status: BTreeMap<u16, u64>,
     by_endpoint: BTreeMap<String, u64>,
     rejected_overload: u64,
-    flushes: u64,
-    /// flush size -> number of flushes of that size
-    batch_hist: BTreeMap<usize, u64>,
-    queue_ns_total: u64,
-    forward_ns_total: u64,
+    /// API requests answered from the table.
+    answered: u64,
+    /// Wall time of their gathers, ns.
+    gather_ns_total: u64,
 }
 
+/// Bounds the API requests being answered at once.
+struct Admission {
+    in_flight: AtomicUsize,
+    cap: usize,
+}
+
+/// One admitted request; dropping it frees its place.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Admission {
+    /// Take a place, or refuse with the depth at the cap.
+    fn admit(&self) -> Result<Admitted<'_>, ServeError> {
+        self.in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .map(|_| Admitted(&self.in_flight))
+            .map_err(|depth| ServeError::Overloaded { depth })
+    }
+
+    fn depth(&self) -> usize {
+        self.in_flight.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Live connections; shutdown waits for zero.
+#[derive(Default)]
 struct ConnGauge {
     count: Mutex<usize>,
     zero: Condvar,
 }
 
+/// One live connection. The acceptor makes it before spawning the
+/// worker and moves it in, so the gauge comes down however the worker
+/// ends: on return, on unwind, or when a failed spawn drops the closure.
+struct ConnGuard(Arc<ConnGauge>);
+
+impl ConnGauge {
+    fn enter(gauge: &Arc<ConnGauge>) -> ConnGuard {
+        *gauge.count.lock().unwrap() += 1;
+        ConnGuard(Arc::clone(gauge))
+    }
+
+    fn wait_zero(&self) {
+        let mut n = self.count.lock().unwrap();
+        while *n > 0 {
+            n = self.zero.wait(n).unwrap();
+        }
+    }
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        let mut n = self.0.count.lock().unwrap();
+        *n -= 1;
+        if *n == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
-    batcher: Batcher<ApiRequest, crate::api::ApiResponse>,
+    info: ModelInfo,
+    /// The frozen forward's output, read by every worker.
+    table: Matrix,
+    admission: Admission,
     stats: Mutex<StatsInner>,
-    info: OnceLock<ModelInfo>,
     stopping: AtomicBool,
-    conns: ConnGauge,
+    conns: Arc<ConnGauge>,
     started: Instant,
     trace_tx: Mutex<Option<mpsc::Sender<ServeRecord>>>,
 }
@@ -147,26 +208,24 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    model: JoinHandle<()>,
     telemetry: JoinHandle<()>,
 }
 
 impl Server {
     /// Bind, load the model, and start serving.
     ///
-    /// A zero `max_batch` or `max_queue` is rejected with
-    /// [`MgError::InvalidInput`] before anything binds. `init` runs on
-    /// the model thread (the model may own `Rc`s); its error fails
-    /// `start` — a server that cannot serve must not come up. The trace
-    /// sink is mg-obs's `MG_TRACE` contract: unset means every record is
-    /// a no-op.
+    /// A zero `max_queue` is rejected with [`MgError::InvalidInput`]
+    /// before anything binds. `init` runs on a start-up thread (the
+    /// model may own `Rc`s); its error fails `start`, and its panic
+    /// fails it with [`MgError::InvalidInput`] — a server that cannot
+    /// serve must not come up. The trace sink is mg-obs's `MG_TRACE`
+    /// contract: unset means every record is a no-op.
     pub fn start<F>(cfg: ServeConfig, init: F) -> Result<Server, MgError>
     where
         F: FnOnce() -> Result<(FrozenModel, GraphCtx), MgError> + Send + 'static,
     {
-        let (batch, queue) = (cfg.max_batch, cfg.max_queue);
-        if batch == 0 || queue == 0 {
-            let detail = format!("max_batch ({batch}) and max_queue ({queue}) must be at least 1");
+        if cfg.max_queue == 0 {
+            let detail = "max_queue must be at least 1".into();
             return Err(MgError::InvalidInput { detail });
         }
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| MgError::InvalidInput {
@@ -188,62 +247,39 @@ impl Server {
             })
             .expect("spawn telemetry thread");
 
+        let startup = std::thread::Builder::new()
+            .name("mg-serve-load".into())
+            .spawn(move || {
+                let svc = init().and_then(|(m, ctx)| ModelService::new(m, ctx))?;
+                let meta = svc.model().meta();
+                let info = ModelInfo {
+                    model: meta.model.clone(),
+                    dataset: meta.dataset.clone(),
+                    task: meta.task.clone(),
+                    n_nodes: svc.n_nodes(),
+                    pinned_structure: svc.model().structure().is_some(),
+                };
+                Ok::<_, MgError>((info, svc.into_table()))
+            })
+            .expect("spawn start-up thread");
+        let (info, table) = startup.join().map_err(|_| MgError::InvalidInput {
+            detail: "model start-up panicked".into(),
+        })??;
+
         let shared = Arc::new(Shared {
-            batcher: Batcher::new(BatchCfg {
-                max_batch: cfg.max_batch,
-                max_wait: cfg.max_wait,
-                max_queue: cfg.max_queue,
-            }),
-            stats: Mutex::new(StatsInner::default()),
-            info: OnceLock::new(),
-            stopping: AtomicBool::new(false),
-            conns: ConnGauge {
-                count: Mutex::new(0),
-                zero: Condvar::new(),
+            info,
+            table,
+            admission: Admission {
+                in_flight: AtomicUsize::new(0),
+                cap: cfg.max_queue,
             },
+            stats: Mutex::new(StatsInner::default()),
+            stopping: AtomicBool::new(false),
+            conns: Arc::default(),
             started: Instant::now(),
             trace_tx: Mutex::new(Some(trace_tx)),
             cfg,
         });
-
-        let (ready_tx, ready_rx) = mpsc::channel::<Result<ModelInfo, MgError>>();
-        let model = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mg-serve-model".into())
-                .spawn(move || {
-                    let svc = match init().and_then(|(m, ctx)| ModelService::new(m, ctx)) {
-                        Ok(svc) => svc,
-                        Err(e) => {
-                            let _ = ready_tx.send(Err(e));
-                            return;
-                        }
-                    };
-                    let meta = svc.model().meta();
-                    let _ = ready_tx.send(Ok(ModelInfo {
-                        model: meta.model.clone(),
-                        dataset: meta.dataset.clone(),
-                        task: meta.task.clone(),
-                        n_nodes: svc.n_nodes(),
-                        pinned_structure: svc.model().structure().is_some(),
-                    }));
-                    shared.batcher.serve_loop(|reqs| {
-                        let n = reqs.len();
-                        let out = svc.execute(reqs);
-                        let mut st = shared.stats.lock().unwrap();
-                        st.flushes += 1;
-                        *st.batch_hist.entry(n).or_insert(0) += 1;
-                        st.forward_ns_total += out.1;
-                        out
-                    });
-                })
-                .expect("spawn model thread")
-        };
-
-        let info = ready_rx.recv().map_err(|_| MgError::InvalidInput {
-            detail: "model thread died during startup".into(),
-        })??;
-        shared.info.set(info).expect("info set once");
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -257,17 +293,13 @@ impl Server {
                         let Ok(stream) = stream else { continue };
                         // gauge up BEFORE the worker exists, so shutdown
                         // cannot observe zero while a spawn is in flight
-                        *shared.conns.count.lock().unwrap() += 1;
+                        let conn = ConnGauge::enter(&shared.conns);
                         let shared = Arc::clone(&shared);
                         let _ = std::thread::Builder::new()
                             .name("mg-serve-conn".into())
                             .spawn(move || {
+                                let _conn = conn;
                                 handle_conn(stream, &shared);
-                                let mut n = shared.conns.count.lock().unwrap();
-                                *n -= 1;
-                                if *n == 0 {
-                                    shared.conns.zero.notify_all();
-                                }
                             });
                     }
                 })
@@ -278,7 +310,6 @@ impl Server {
             addr,
             shared,
             acceptor,
-            model,
             telemetry,
         })
     }
@@ -288,21 +319,14 @@ impl Server {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight connections
-    /// and queued requests, then tear the threads down in order.
+    /// Graceful shutdown: stop accepting, drain in-flight connections,
+    /// then flush and join telemetry.
     pub fn shutdown(self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
         // unblock the acceptor; it checks `stopping` before handling
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
-        {
-            let mut n = self.shared.conns.count.lock().unwrap();
-            while *n > 0 {
-                n = self.shared.conns.zero.wait(n).unwrap();
-            }
-        }
-        self.shared.batcher.close();
-        let _ = self.model.join();
+        self.shared.conns.wait_zero();
         // dropping the last sender ends the telemetry loop
         self.shared.trace_tx.lock().unwrap().take();
         let _ = self.telemetry.join();
@@ -323,15 +347,15 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
             Ok(None) => break, // clean close (or idle timeout)
             Ok(Some(req)) => {
                 let keep = req.keep_alive && !shared.stopping.load(Ordering::SeqCst);
-                let (status, body, meta, items) = route(&req, shared);
-                record(shared, &req.path, status, items, meta);
+                let (status, body, gather_ns, items) = unwind_to_internal(|| route(&req, shared));
+                record(shared, &req.path, status, items, gather_ns);
                 if write_response(&mut writer, status, &body, keep).is_err() || !keep {
                     break;
                 }
             }
             Err(e) => {
                 // the request never parsed; answer typed and close
-                record(shared, "?", e.status(), 0, BatchMeta::default());
+                record(shared, "?", e.status(), 0, None);
                 let _ = write_response(&mut writer, e.status(), &e.body(), false);
                 break;
             }
@@ -339,17 +363,18 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// `(status, body, batch meta, items asked about)` for one request.
-type Routed = (u16, String, BatchMeta, usize);
+/// `(status, body, gather ns of an answered API request, items asked
+/// about)` for one request.
+type Routed = (u16, String, Option<u64>, usize);
 
 fn route(req: &HttpRequest, shared: &Shared) -> Routed {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let info = shared.info.get().expect("set before serving");
+            let info = &shared.info;
             let body = healthz_body(&info.model, &info.dataset, &info.task, info.n_nodes);
-            (200, body, BatchMeta::default(), 0)
+            (200, body, None, 0)
         }
-        ("GET", "/statsz") => (200, stats_body(shared), BatchMeta::default(), 0),
+        ("GET", "/statsz") => (200, stats_body(shared), None, 0),
         ("POST", "/v1/nodes") => {
             let parsed =
                 NodesRequest::from_json(&req.body, shared.cfg.max_items).map(ApiRequest::Nodes);
@@ -370,39 +395,49 @@ fn route(req: &HttpRequest, shared: &Shared) -> Routed {
 }
 
 fn reject(e: ServeError) -> Routed {
-    (e.status(), e.body(), BatchMeta::default(), 0)
+    (e.status(), e.body(), None, 0)
 }
 
-/// Run one parsed API request through the batcher and render the result.
+/// Run `answer`, turning a panic into a typed 500 so the worker and
+/// its connection keep serving.
+fn unwind_to_internal(answer: impl FnOnce() -> Routed) -> Routed {
+    catch_unwind(AssertUnwindSafe(answer)).unwrap_or_else(|_| {
+        reject(ServeError::Internal {
+            detail: "answering the request panicked".into(),
+        })
+    })
+}
+
+/// Admit one parsed API request, answer it from the table and render
+/// the result.
 fn answer(shared: &Shared, parsed: Result<ApiRequest, ServeError>) -> Routed {
     let req = match parsed {
         Ok(req) => req,
         Err(e) => return reject(e),
     };
-    let items = req.items();
-    let rx = match shared.batcher.submit(req) {
-        Ok(rx) => rx,
+    let _admitted = match shared.admission.admit() {
+        Ok(admitted) => admitted,
         Err(e) => {
-            if matches!(e, ServeError::Overloaded { .. }) {
-                shared.stats.lock().unwrap().rejected_overload += 1;
-            }
+            shared.stats.lock().unwrap().rejected_overload += 1;
             return reject(e);
         }
     };
-    let Ok((result, meta)) = rx.recv() else {
-        return reject(ServeError::Internal {
-            detail: "model thread terminated".into(),
-        });
-    };
+    let items = req.items();
+    let timer = Instant::now();
+    let result = gather(&shared.table, req);
+    let gather_ns = Some(timer.elapsed().as_nanos() as u64);
     match result {
-        Ok(resp) => (200, resp.to_json(), meta, items),
-        Err(e) => (e.status(), e.body(), meta, items),
+        Ok(resp) => (200, resp.to_json(), gather_ns, items),
+        Err(e) => (e.status(), e.body(), gather_ns, items),
     }
 }
 
-/// The `/statsz` document: counters, batching shape, pool facts.
+/// The `/statsz` document: counters, in-flight depth, pool facts.
+/// `batch.flushes`, `queue_ns_total` and `forward_ns_total` keep the
+/// names perfbench parses: every answered request is its own flush, no
+/// request queues, and the forward time is the gathers' time.
 fn stats_body(shared: &Shared) -> String {
-    let info = shared.info.get().expect("set before serving");
+    let info = &shared.info;
     let st = shared.stats.lock().unwrap();
     let map = |m: &BTreeMap<u16, u64>| {
         let kv: Vec<String> = m.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
@@ -414,19 +449,13 @@ fn stats_body(shared: &Shared) -> String {
         .iter()
         .map(|(k, v)| format!("{}: {v}", mg_obs::json::string(k)))
         .collect();
-    let hist: Vec<String> = st
-        .batch_hist
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
     format!(
         concat!(
             "{{\"uptime_ms\": {}, \"model\": {}, \"dataset\": {}, \"task\": {}, ",
             "\"n_nodes\": {}, \"pinned_structure\": {}, \"pool_threads\": {}, ",
             "\"requests\": {}, \"by_status\": {}, \"by_endpoint\": {{{}}}, ",
             "\"rejected_overload\": {}, \"queue_depth\": {}, ",
-            "\"batch\": {{\"max_batch\": {}, \"max_wait_us\": {}, \"flushes\": {}, ",
-            "\"hist\": {{{}}}}}, \"queue_ns_total\": {}, \"forward_ns_total\": {}}}"
+            "\"batch\": {{\"flushes\": {}}}, \"queue_ns_total\": 0, \"forward_ns_total\": {}}}"
         ),
         shared.started.elapsed().as_millis(),
         mg_obs::json::string(&info.model),
@@ -439,24 +468,23 @@ fn stats_body(shared: &Shared) -> String {
         by_status,
         by_endpoint.join(", "),
         st.rejected_overload,
-        shared.batcher.depth(),
-        shared.cfg.max_batch,
-        shared.cfg.max_wait.as_micros(),
-        st.flushes,
-        hist.join(", "),
-        st.queue_ns_total,
-        st.forward_ns_total,
+        shared.admission.depth(),
+        st.answered,
+        st.gather_ns_total,
     )
 }
 
 /// Update counters and emit the per-request `serve` trace record.
-fn record(shared: &Shared, endpoint: &str, status: u16, items: usize, meta: BatchMeta) {
+fn record(shared: &Shared, endpoint: &str, status: u16, items: usize, gather_ns: Option<u64>) {
     {
         let mut st = shared.stats.lock().unwrap();
         st.requests += 1;
         *st.by_status.entry(status).or_insert(0) += 1;
         *st.by_endpoint.entry(endpoint.to_string()).or_insert(0) += 1;
-        st.queue_ns_total += meta.queue_ns;
+        if let Some(ns) = gather_ns {
+            st.answered += 1;
+            st.gather_ns_total += ns;
+        }
     }
     let tx = shared.trace_tx.lock().unwrap().clone();
     if let Some(tx) = tx {
@@ -464,9 +492,85 @@ fn record(shared: &Shared, endpoint: &str, status: u16, items: usize, meta: Batc
             endpoint: endpoint.to_string(),
             status,
             items,
-            batch_size: meta.batch_size,
-            queue_ns: meta.queue_ns,
-            forward_ns: meta.forward_ns,
+            forward_ns: gather_ns.unwrap_or(0),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_refuses_at_the_cap_and_readmits_after_a_release() {
+        let admission = Admission {
+            in_flight: AtomicUsize::new(0),
+            cap: 2,
+        };
+        let first = admission.admit().expect("room for the first");
+        let _second = admission.admit().expect("room for the second");
+        match admission.admit() {
+            Err(ServeError::Overloaded { depth: 2 }) => {}
+            other => panic!(
+                "expected Overloaded at depth 2, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        assert_eq!(admission.depth(), 2);
+        drop(first);
+        assert_eq!(admission.depth(), 1);
+        let _third = admission.admit().expect("a release frees a place");
+        assert!(admission.admit().is_err());
+    }
+
+    #[test]
+    fn a_panicking_worker_lowers_the_gauge_and_wakes_shutdown() {
+        let gauge = Arc::new(ConnGauge::default());
+        let conn = ConnGauge::enter(&gauge);
+        let (woke_tx, woke_rx) = mpsc::channel();
+        let waiter = {
+            let gauge = Arc::clone(&gauge);
+            std::thread::spawn(move || {
+                gauge.wait_zero();
+                let _ = woke_tx.send(());
+            })
+        };
+        // the waiter blocks while the connection is live
+        assert!(woke_rx.recv_timeout(Duration::from_millis(50)).is_err());
+        let worker = catch_unwind(AssertUnwindSafe(move || {
+            let _conn = conn;
+            panic!("the worker panics mid-request");
+        }));
+        assert!(worker.is_err());
+        assert_eq!(*gauge.count.lock().unwrap(), 0);
+        woke_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the waiter is woken");
+        waiter.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_answer_is_a_typed_500() {
+        let (status, body, gather_ns, _) = unwind_to_internal(|| panic!("the gather panics"));
+        assert_eq!((status, gather_ns), (500, None));
+        assert!(body.contains("\"internal\""), "{body}");
+        let (status, body, ..) = unwind_to_internal(|| (200, "{}".into(), Some(7), 1));
+        assert_eq!((status, body.as_str()), (200, "{}"));
+    }
+
+    #[test]
+    fn a_panicking_init_fails_start_typed() {
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        };
+        let got = Server::start(cfg, || -> Result<(FrozenModel, GraphCtx), MgError> {
+            panic!("init panics")
+        });
+        match got {
+            Err(MgError::InvalidInput { .. }) => {}
+            Err(e) => panic!("expected InvalidInput, got {e}"),
+            Ok(_) => panic!("a server started"),
+        }
     }
 }

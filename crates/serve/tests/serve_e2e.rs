@@ -3,9 +3,9 @@
 //! keep-alive HTTP clients.
 //!
 //! The load-bearing test is the bitwise-identity one: responses under
-//! concurrency (where the micro-batcher coalesces requests into shared
-//! flushes) must equal, byte for byte, the responses the same requests
-//! get sequentially.
+//! concurrency (many workers gathering from the one shared table) must
+//! equal, byte for byte, the responses the same requests get
+//! sequentially.
 
 use mg_data::{make_node_dataset, NodeDataset, NodeDatasetKind, NodeGenConfig};
 use mg_eval::{FrozenModel, NodeModelKind, SessionKind, TrainConfig, TrainSession};
@@ -18,7 +18,6 @@ use mg_serve::{
 use mg_tensor::MgError;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
-use std::time::Duration;
 
 /// The serving dataset: deterministic, so every call rebuilds the same
 /// graph the checkpoint was trained on.
@@ -110,10 +109,9 @@ fn healthz_and_statsz_report_identity_and_counters() {
 }
 
 /// The tentpole guarantee: responses are bitwise identical whether a
-/// request is served alone or coalesced into a flush with arbitrary
-/// concurrent companions.
+/// request is served alone or beside arbitrary concurrent companions.
 #[test]
-fn concurrent_batched_responses_match_sequential_bitwise() {
+fn concurrent_responses_match_sequential_bitwise() {
     let n_nodes = dataset().n();
     // requests of both kinds, overlapping ids, request-order sensitive
     let nodes: Vec<String> = (0..6)
@@ -138,8 +136,8 @@ fn concurrent_batched_responses_match_sequential_bitwise() {
         .chain(links.into_iter().map(|b| ("/v1/links", b)))
         .collect();
 
-    // the reference is DIRECT FrozenModel serving — no server, no HTTP,
-    // no batcher: load the same checkpoint, answer each request alone
+    // the reference is DIRECT FrozenModel serving — no server, no HTTP:
+    // load the same checkpoint, answer each request alone
     let reference: Vec<String> = {
         let fm = FrozenModel::load(checkpoint()).unwrap();
         let ds = dataset();
@@ -158,13 +156,9 @@ fn concurrent_batched_responses_match_sequential_bitwise() {
             .collect()
     };
 
-    // concurrent run: a wide straggler window plus a barrier, so the
-    // batcher has every chance to coalesce different requests
-    let server = start(ephemeral(ServeConfig {
-        max_batch: 8,
-        max_wait: Duration::from_millis(50),
-        ..ServeConfig::default()
-    }));
+    // concurrent run: a barrier releases every client at once, so the
+    // workers gather from the shared table side by side
+    let server = start(ephemeral(ServeConfig::default()));
     let addr = server.addr();
     let barrier = Arc::new(Barrier::new(bodies.len()));
     let got: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -195,33 +189,26 @@ fn concurrent_batched_responses_match_sequential_bitwise() {
     for (i, resp) in got.iter() {
         assert_eq!(
             resp, &reference[*i],
-            "batched response diverged from sequential reference"
+            "concurrent response diverged from sequential reference"
         );
     }
 
-    // and the barrier really did exercise multi-request flushes
+    // every answered request is counted as its own flush, and nothing
+    // is left in flight
     let mut client = HttpClient::connect(addr).unwrap();
     let (_, body) = client.request("GET", "/statsz", None).unwrap();
     let v = Json::parse(&body).unwrap();
-    let batch = v.get("batch").unwrap();
-    let hist = batch.get("hist").unwrap();
-    let coalesced = (2..=8).any(|k| hist.get(&k.to_string()).is_some());
-    assert!(coalesced, "no flush held more than one request: {body}");
-    // the flush-size histogram accounts for every flush
-    let Json::Obj(counts) = hist else {
-        panic!("hist is not an object: {body}");
-    };
-    let flushed: f64 = counts.values().filter_map(Json::as_f64).sum();
-    let flushes = batch.get("flushes").and_then(Json::as_f64);
-    assert_eq!(Some(flushed), flushes, "hist sum != flushes: {body}");
+    let flushes = v.get("batch").and_then(|b| b.get("flushes"));
+    let answered = (bodies.len() * 3) as f64;
+    assert_eq!(flushes.and_then(Json::as_f64), Some(answered), "{body}");
+    assert_eq!(v.get("queue_depth").and_then(Json::as_f64), Some(0.0));
     server.shutdown();
 }
 
-/// One bad request in a flush fails alone: its companions get exactly
-/// the gathers from an independently computed output matrix, and the
-/// same answers they get when executed alone.
+/// One bad request fails alone: the requests beside it get exactly the
+/// gathers from an independently computed output matrix.
 #[test]
-fn a_bad_request_fails_alone_within_a_flush() {
+fn a_bad_request_fails_alone() {
     let ds = dataset();
     let n_nodes = ds.n();
     let ctx = || GraphCtx::new(ds.graph.clone(), ds.features.clone());
@@ -233,7 +220,7 @@ fn a_bad_request_fails_alone_within_a_flush() {
 
     let ids = vec![0, n_nodes / 2, n_nodes - 1];
     let pairs = vec![(0, n_nodes - 1), (3, 1)];
-    let flush = vec![
+    let results: Vec<_> = [
         ApiRequest::Nodes(NodesRequest { ids: ids.clone() }),
         ApiRequest::Nodes(NodesRequest {
             ids: vec![1, n_nodes],
@@ -241,9 +228,10 @@ fn a_bad_request_fails_alone_within_a_flush() {
         ApiRequest::Links(LinksRequest {
             pairs: pairs.clone(),
         }),
-    ];
-    let (results, _) = svc.execute(flush.clone());
-    assert_eq!(results.len(), 3);
+    ]
+    .into_iter()
+    .map(|req| svc.handle_one(req))
+    .collect();
 
     let bad = results[1].as_ref().unwrap_err();
     assert_eq!((bad.status(), bad.code()), (400, "invalid_input"), "{bad}");
@@ -263,43 +251,24 @@ fn a_bad_request_fails_alone_within_a_flush() {
     };
     let scores = FrozenModel::link_scores_from(&h, &pairs).unwrap();
     assert_eq!(bits(&links.scores), bits(&scores));
-
-    // each request alone gets the same answer it got in the flush
-    for (req, in_flush) in flush.into_iter().zip(&results) {
-        let alone = svc.handle_one(req);
-        match (&alone, in_flush) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_json(), b.to_json()),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            _ => panic!("alone {alone:?} vs in flush {in_flush:?}"),
-        }
-    }
 }
 
-/// A zero batch cap or queue cap is a typed error, not a panic, and
-/// nothing binds.
+/// A zero queue cap is a typed error, not a panic, and nothing binds.
 #[test]
-fn zero_batch_or_queue_cap_fails_start_typed() {
-    for cfg in [
-        ServeConfig {
-            max_batch: 0,
-            ..ServeConfig::default()
-        },
-        ServeConfig {
-            max_queue: 0,
-            ..ServeConfig::default()
-        },
-    ] {
-        let cfg = ephemeral(cfg);
-        let got = Server::start(cfg.clone(), || {
-            Err(MgError::Mismatch {
-                detail: "init must not run".into(),
-            })
-        });
-        match got {
-            Err(MgError::InvalidInput { .. }) => {}
-            Err(e) => panic!("{cfg:?}: expected InvalidInput, got {e}"),
-            Ok(_) => panic!("{cfg:?}: a server started"),
-        }
+fn zero_queue_cap_fails_start_typed() {
+    let cfg = ephemeral(ServeConfig {
+        max_queue: 0,
+        ..ServeConfig::default()
+    });
+    let got = Server::start(cfg, || {
+        Err(MgError::Mismatch {
+            detail: "init must not run".into(),
+        })
+    });
+    match got {
+        Err(MgError::InvalidInput { .. }) => {}
+        Err(e) => panic!("expected InvalidInput, got {e}"),
+        Ok(_) => panic!("a server started"),
     }
 }
 

@@ -76,19 +76,23 @@ fn served_requests_emit_a_valid_trace() {
     assert_eq!(report.serves, 5, "one serve record per request:\n{text}");
     // spot-check record contents beyond schema validity
     let mut saw_400 = false;
-    let mut saw_batched_forward = false;
+    let mut answered = 0;
     for line in text.lines() {
         let v = mg_obs::Json::parse(line).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("serve"));
         assert_eq!(v.get("task").unwrap().as_str(), Some("serve"));
         let status = v.get("status").unwrap().as_f64().unwrap() as u16;
         saw_400 |= status == 400;
-        saw_batched_forward |= v.get("forward_ns").unwrap().as_f64().unwrap() > 0.0;
+        if status == 200 && v.get("endpoint").unwrap().as_str() == Some("/v1/nodes") {
+            let gather_ns = v.get("forward_ns").unwrap().as_f64().unwrap();
+            assert!(
+                gather_ns > 0.0,
+                "an answered request records its gather time: {line}"
+            );
+            answered += 1;
+        }
     }
     saw_400.then_some(()).expect("the rejection was traced");
-    assert!(
-        saw_batched_forward,
-        "successful requests record forward time"
-    );
+    assert_eq!(answered, 3, "every answered request was traced:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
