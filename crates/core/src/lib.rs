@@ -45,7 +45,7 @@ pub use loss::{
     LossWeights, ReconPlan,
 };
 pub use model::{AdamGnn, AdamGnnConfig, AdamGnnOutput, FrozenLevel, FrozenStructure, LevelState};
-pub use overrides::{pooling_env_default, with_ckpt_tape, with_pooling, RuntimeOverrides};
+pub use overrides::with_ckpt_tape;
 pub use pooling::{
     coarsen_adjacency, AdamGnnPooling, AsapPooling, PoolLevelOutput, PoolState, Pooling,
     PoolingKind, PoolingOp, SpaPoolPooling,

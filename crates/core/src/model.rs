@@ -30,16 +30,9 @@ pub struct AdamGnnConfig {
     /// Include Eq. 2's linearity term `f^c = sigmoid(h_jᵀ h_i)` in the
     /// fitness (ablation knob; the paper always keeps it on).
     pub linearity: bool,
-    /// Run the forward blocks through tape checkpoint scopes
-    /// (recompute-on-backward; see `crate::overrides`). Bitwise-invisible
-    /// to gradients and traces — it only changes peak tape memory.
-    /// Defaults from `MG_CKPT_TAPE`;
-    /// [`crate::overrides::with_ckpt_tape`] overrides it.
-    pub checkpoint: bool,
     /// Which pooling operator coarsens each level (see
-    /// [`crate::pooling`]). Defaults from `MG_POOLING`;
-    /// [`crate::overrides::with_pooling`] overrides it at model
-    /// construction.
+    /// [`crate::pooling`]). Fixed at model construction: the operator
+    /// owns parameters.
     pub pooling: PoolingKind,
 }
 
@@ -54,8 +47,7 @@ impl AdamGnnConfig {
             flyback: true,
             dropout: 0.5,
             linearity: true,
-            checkpoint: crate::overrides::ckpt_env_default(),
-            pooling: crate::overrides::pooling_env_default(),
+            pooling: PoolingKind::AdamGnn,
         }
     }
 }
@@ -142,10 +134,6 @@ impl AdamGnn {
     pub fn new(store: &mut ParamStore, cfg: AdamGnnConfig, rng: &mut StdRng) -> Self {
         assert!(cfg.levels >= 1, "AdamGNN needs at least one level");
         assert!(cfg.lambda >= 1, "lambda must be >= 1");
-        // The operator owns parameters, so the runtime override must
-        // apply here, not per forward pass.
-        let mut cfg = cfg;
-        cfg.pooling = crate::overrides::resolve_pooling(cfg.pooling);
         let gcn0 = GcnLayer::new(
             store,
             "adam.gcn0",
@@ -245,7 +233,7 @@ impl AdamGnn {
         // closes before any early stop, so no abort paths are needed;
         // checkpointing never changes the values or gradients, only when
         // interior buffers are resident (see crate::overrides).
-        let ckpt = crate::overrides::resolve_ckpt(self.cfg.checkpoint);
+        let ckpt = crate::overrides::ckpt_tape();
         // ---- primary node representation (Eq. 1) ----
         let mut h0 = self.gcn0.forward_features(tape, bind, ctx);
         if train && self.cfg.dropout > 0.0 {

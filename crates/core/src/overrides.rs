@@ -1,116 +1,38 @@
-//! Runtime override resolution — the one place the thread-local / env /
-//! config precedence rules live.
+//! The tape-checkpointing switch: recompute-on-backward, set per thread.
 //!
-//! Two knobs are resolvable at runtime:
-//!
-//! * **Checkpointed tapes** (recompute-on-backward), resolved per
-//!   forward pass: [`with_ckpt_tape`] > `AdamGnnConfig::checkpoint` >
-//!   `MG_CKPT_TAPE` (`1`/`true`/`on`). Checkpointing changes *when*
-//!   forward values are resident, never what they are: gradients are
-//!   bitwise identical either way (enforced by the replay fingerprint
-//!   check in mg-tensor and the differential suites).
-//! * **Pooling operator**, resolved once at *model construction* (the
-//!   operator owns parameters, so it cannot change per forward):
-//!   [`with_pooling`] > `AdamGnnConfig::pooling` > `MG_POOLING`
-//!   (`adamgnn`/`asap`/`spapool`). The typed [`PoolingKind`] in configs
-//!   and checkpoints is the source of truth; the env var is only a
-//!   construction-time default, parsed here exactly once.
-//!
-//! The env defaults feed config *construction* (`AdamGnnConfig::new`,
-//! `TrainConfig::default`); the thread-local overrides beat whatever the
-//! config carries. Tests and the memory-report bench use the closures to
-//! compare modes in one process without touching the environment (env
-//! mutation is racy under the parallel test runner).
+//! [`with_ckpt_tape`] is its one setter; `AdamGnn::forward_inner` reads
+//! it on every pass. Checkpointing changes *when* forward values are
+//! resident, never what they are: gradients are bitwise identical either
+//! way (enforced by the replay fingerprint check in mg-tensor and the
+//! differential suites). A thread-local, not an env var, so tests and
+//! the memory-report bench compare both modes in one process without
+//! touching the environment (env mutation is racy under the parallel
+//! test runner).
 
-use crate::pooling::PoolingKind;
 use std::cell::Cell;
 
 thread_local! {
-    static CKPT_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-    static POOLING_OVERRIDE: Cell<Option<PoolingKind>> = const { Cell::new(None) };
+    static CKPT_TAPE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// RAII guard restoring a thread-local override slot on drop (also on
-/// panic).
-struct Restore<T: Copy + 'static>(&'static std::thread::LocalKey<Cell<Option<T>>>, Option<T>);
-impl<T: Copy + 'static> Drop for Restore<T> {
+/// Restores the previous switch on drop (also on panic).
+struct Restore(bool);
+impl Drop for Restore {
     fn drop(&mut self) {
-        let prev = self.1;
-        self.0.with(|c| c.set(prev));
+        CKPT_TAPE.with(|c| c.set(self.0));
     }
 }
 
-/// Run `f` with tape checkpointing forced on or off for this thread,
-/// overriding both the config field and `MG_CKPT_TAPE`. Restores the
-/// previous override on exit (also on panic).
+/// Run `f` with tape checkpointing on or off for this thread. Restores
+/// the previous setting on exit (also on panic).
 pub fn with_ckpt_tape<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _restore = Restore(&CKPT_OVERRIDE, CKPT_OVERRIDE.with(|c| c.replace(Some(on))));
+    let _restore = Restore(CKPT_TAPE.with(|c| c.replace(on)));
     f()
 }
 
-/// Run `f` with the pooling operator forced for this thread, overriding
-/// both the config field and `MG_POOLING`. Only models *constructed*
-/// inside `f` are affected — the operator owns parameters, so it is
-/// fixed at construction. Restores the previous override on exit (also
-/// on panic).
-pub fn with_pooling<R>(kind: PoolingKind, f: impl FnOnce() -> R) -> R {
-    let _restore = Restore(
-        &POOLING_OVERRIDE,
-        POOLING_OVERRIDE.with(|c| c.replace(Some(kind))),
-    );
-    f()
-}
-
-/// The fully-resolved runtime knobs for one model, combining the
-/// thread-local overrides with the config's values (which themselves
-/// defaulted from the environment at construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RuntimeOverrides {
-    /// Effective checkpointed-tape toggle.
-    pub checkpoint: bool,
-    /// Effective pooling operator.
-    pub pooling: PoolingKind,
-}
-
-impl RuntimeOverrides {
-    /// Resolve against a config's defaults. `AdamGnn::new` applies
-    /// `pooling` once; `forward_inner` re-reads `checkpoint` every pass
-    /// (it owns no state, so it may change between passes).
-    pub fn resolve(cfg_checkpoint: bool, cfg_pooling: PoolingKind) -> Self {
-        RuntimeOverrides {
-            checkpoint: CKPT_OVERRIDE.with(|c| c.get()).unwrap_or(cfg_checkpoint),
-            pooling: POOLING_OVERRIDE.with(|c| c.get()).unwrap_or(cfg_pooling),
-        }
-    }
-}
-
-/// The config-construction default for checkpointed tapes: true when
-/// `MG_CKPT_TAPE` is `1`, `true` or `on`.
-pub(crate) fn ckpt_env_default() -> bool {
-    std::env::var("MG_CKPT_TAPE").is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on"))
-}
-
-/// The config-construction default for the pooling operator: the
-/// `MG_POOLING` name when set and valid, else AdamGNN. Public because
-/// mg-eval's `TrainConfig::default` seeds its own `pooling` field from
-/// the same source (the env var must be parsed in exactly one place).
-pub fn pooling_env_default() -> PoolingKind {
-    std::env::var("MG_POOLING")
-        .ok()
-        .and_then(|v| PoolingKind::from_name(&v))
-        .unwrap_or_default()
-}
-
-/// Effective checkpointed-tape toggle for a forward pass with the given
-/// config default.
-pub(crate) fn resolve_ckpt(cfg_default: bool) -> bool {
-    RuntimeOverrides::resolve(cfg_default, PoolingKind::AdamGnn).checkpoint
-}
-
-/// Effective pooling operator at model construction with the given
-/// config default.
-pub(crate) fn resolve_pooling(cfg_default: PoolingKind) -> PoolingKind {
-    RuntimeOverrides::resolve(false, cfg_default).pooling
+/// Whether forward passes on this thread checkpoint their tapes.
+pub(crate) fn ckpt_tape() -> bool {
+    CKPT_TAPE.with(|c| c.get())
 }
 
 #[cfg(test)]
@@ -118,74 +40,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ckpt_override_wins_and_restores() {
-        assert!(!resolve_ckpt(false));
-        assert!(resolve_ckpt(true));
+    fn nested_settings_unwind() {
+        assert!(!ckpt_tape(), "off by default");
         with_ckpt_tape(true, || {
-            assert!(resolve_ckpt(false), "override beats config default");
-            assert!(resolve_ckpt(true));
+            with_ckpt_tape(false, || assert!(!ckpt_tape()));
+            assert!(ckpt_tape(), "outer setting restored");
         });
-        with_ckpt_tape(false, || {
-            assert!(!resolve_ckpt(true), "override beats config default");
-        });
-        assert!(!resolve_ckpt(false), "override restored on exit");
-    }
-
-    #[test]
-    fn nested_ckpt_overrides_unwind() {
-        with_ckpt_tape(true, || {
-            with_ckpt_tape(false, || assert!(!resolve_ckpt(true)));
-            assert!(resolve_ckpt(false), "outer override restored");
-        });
-    }
-
-    #[test]
-    fn pooling_override_wins_and_restores() {
-        assert_eq!(resolve_pooling(PoolingKind::Asap), PoolingKind::Asap);
-        with_pooling(PoolingKind::SpaPool, || {
-            assert_eq!(
-                resolve_pooling(PoolingKind::AdamGnn),
-                PoolingKind::SpaPool,
-                "override beats config default"
-            );
-        });
-        assert_eq!(
-            resolve_pooling(PoolingKind::AdamGnn),
-            PoolingKind::AdamGnn,
-            "override restored on exit"
-        );
-    }
-
-    #[test]
-    fn nested_pooling_overrides_unwind() {
-        with_pooling(PoolingKind::Asap, || {
-            with_pooling(PoolingKind::SpaPool, || {
-                assert_eq!(resolve_pooling(PoolingKind::AdamGnn), PoolingKind::SpaPool);
-            });
-            assert_eq!(
-                resolve_pooling(PoolingKind::AdamGnn),
-                PoolingKind::Asap,
-                "outer override restored"
-            );
-        });
-    }
-
-    #[test]
-    fn resolve_combines_both_knobs() {
-        let r = RuntimeOverrides::resolve(true, PoolingKind::Asap);
-        assert_eq!(
-            r,
-            RuntimeOverrides {
-                checkpoint: true,
-                pooling: PoolingKind::Asap
-            }
-        );
-        with_ckpt_tape(false, || {
-            with_pooling(PoolingKind::SpaPool, || {
-                let r = RuntimeOverrides::resolve(true, PoolingKind::Asap);
-                assert!(!r.checkpoint);
-                assert_eq!(r.pooling, PoolingKind::SpaPool);
-            });
-        });
+        assert!(!ckpt_tape(), "default restored on exit");
     }
 }

@@ -34,10 +34,9 @@ use std::rc::Rc;
 /// Weight of SpaPool's assignment-entropy auxiliary loss.
 const SPAPOOL_ENTROPY_WEIGHT: f64 = 0.01;
 
-/// Which pooling operator coarsens each level. Typed — wired through
-/// `AdamGnnConfig`, `TrainConfig` and the checkpoint config section, not
-/// a stringly env var (the `MG_POOLING` default is parsed once into this
-/// enum at config construction; see `crate::overrides`).
+/// Which pooling operator coarsens each level. Typed — set only through
+/// `TrainConfig` and `AdamGnnConfig`, and recorded in the checkpoint
+/// config section.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolingKind {
     /// AdamGNN's adaptive fitness/ego-network pooling (Eqs. 2-3).
@@ -57,22 +56,12 @@ impl PoolingKind {
         PoolingKind::SpaPool,
     ];
 
-    /// Stable lowercase name (trace tag, bench rows, `MG_POOLING`).
+    /// Stable lowercase name (trace tag, bench rows, checkpoint config).
     pub fn name(self) -> &'static str {
         match self {
             PoolingKind::AdamGnn => "adamgnn",
             PoolingKind::Asap => "asap",
             PoolingKind::SpaPool => "spapool",
-        }
-    }
-
-    /// Inverse of [`PoolingKind::name`].
-    pub fn from_name(s: &str) -> Option<PoolingKind> {
-        match s {
-            "adamgnn" => Some(PoolingKind::AdamGnn),
-            "asap" => Some(PoolingKind::Asap),
-            "spapool" => Some(PoolingKind::SpaPool),
-            _ => None,
         }
     }
 
@@ -776,15 +765,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_roundtrip() {
+    fn kind_discriminants_roundtrip() {
         for kind in PoolingKind::ALL {
-            assert_eq!(PoolingKind::from_name(kind.name()), Some(kind));
             assert_eq!(
                 PoolingKind::from_discriminant(kind.discriminant()),
                 Some(kind)
             );
         }
-        assert_eq!(PoolingKind::from_name("nope"), None);
         assert_eq!(PoolingKind::from_discriminant(250), None);
         assert_eq!(PoolingKind::default(), PoolingKind::AdamGnn);
     }

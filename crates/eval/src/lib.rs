@@ -29,18 +29,3 @@ pub use node_tasks::TrainConfig;
 pub use session::{RunOutcome, SessionInput, SessionKind, TrainSession};
 pub use tables::{auc, pct, TextTable};
 pub use trace::{TraceRow, TrainTrace};
-
-/// Print the per-kernel timing registry as JSON to stderr when the
-/// `MG_KERNEL_STATS` environment variable is set. No-op in builds
-/// without the `parallel` feature (the registry lives in mg-runtime).
-pub fn maybe_dump_kernel_stats(label: &str) {
-    #[cfg(feature = "parallel")]
-    if std::env::var_os("MG_KERNEL_STATS").is_some() {
-        eprintln!(
-            "MG_KERNEL_STATS [{label}]:\n{}",
-            mg_runtime::KernelStats::to_json()
-        );
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = label;
-}

@@ -54,7 +54,7 @@ impl Default for TrainConfig {
             seed: 0,
             weights: LossWeights::default(),
             flyback: true,
-            pooling: adamgnn_core::pooling_env_default(),
+            pooling: PoolingKind::AdamGnn,
         }
     }
 }

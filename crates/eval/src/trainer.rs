@@ -296,7 +296,6 @@ pub(crate) fn train<'a>(
         false => task.test(&store, &mut rng),
     };
     let val_metric = validated.then_some(state.best_val);
-    crate::maybe_dump_kernel_stats(job.name);
     obs.kernel_stats();
     obs.run_end(state.epochs_run, val_metric, Some(test_metric));
     let outcome = RunOutcome {

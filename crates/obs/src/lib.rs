@@ -8,11 +8,11 @@
 //!
 //! `MG_TRACE=<path>` turns the sink on (records append to `<path>`);
 //! when unset, [`Trace::from_env`] returns a no-op handle and every call
-//! on it is free. The policy mirrors `MG_KERNEL_STATS`: observability is
-//! opt-in per process and *never* perturbs the computation — the sink
-//! only reads scalars the training loop already produced, never draws
-//! from an RNG, and the mg-verify golden-trace suite pins the traced
-//! trainers bitwise against their checked-in histories.
+//! on it is free. Observability is opt-in per process and *never*
+//! perturbs the computation — the sink only reads scalars the training
+//! loop already produced, never draws from an RNG, and the mg-verify
+//! golden-trace suite pins the traced trainers bitwise against their
+//! checked-in histories.
 //!
 //! ## Record kinds
 //!
@@ -24,7 +24,7 @@
 //!   flyback-β summary statistics, per-level hyper-node counts, and
 //!   train/eval wall time ([`EpochRecord`]);
 //! * `kernel_stats` — a snapshot of mg-runtime's per-kernel timing
-//!   registry, folding the `MG_KERNEL_STATS` story into the same file;
+//!   registry, the only output of those timings;
 //! * `run_end` — best validation / test metrics and total wall time;
 //! * `serve` — one online-inference request served by mg-serve: endpoint,
 //!   HTTP status, items asked about and the gather's wall time

@@ -139,7 +139,7 @@ pub struct EpochRecord {
     /// High-water mark of live tape bytes across the epoch's training
     /// tapes (max over batches for mini-batch loops). Retained tapes
     /// report the full forward footprint; checkpointed tapes
-    /// (`MG_CKPT_TAPE=1`) the reduced one.
+    /// (`adamgnn_core::with_ckpt_tape`) the reduced one.
     pub peak_tape_bytes: u64,
 }
 
@@ -292,10 +292,9 @@ impl RunEnd {
 }
 
 /// Render the kernel-timing registry snapshot as a `kernel_stats` record,
-/// folding mg-runtime's `MG_KERNEL_STATS` story into the same trace file.
-/// The registry is process-global and cumulative; `calls`/`total_ns` are
-/// totals up to the moment of emission. Serial builds never record into
-/// it, so the array is empty there.
+/// the one place the registry leaves the process. The registry is
+/// process-global and cumulative; `calls`/`total_ns` are totals up to the
+/// moment of emission, in serial and parallel builds alike.
 pub(crate) fn kernel_stats_json_line(task: &str) -> String {
     let entries = mg_runtime::KernelStats::snapshot()
         .iter()

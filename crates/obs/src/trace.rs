@@ -1,11 +1,11 @@
 //! The trace sink: a JSONL writer that every trainer owns for the
 //! duration of one run.
 //!
-//! Activation mirrors `MG_KERNEL_STATS`: the `MG_TRACE` environment
-//! variable names the output file and its absence makes every method a
-//! no-op. The off path costs one env lookup per *run* (not per epoch) and
-//! an `Option` check per call — telemetry collection at the call sites is
-//! gated on [`Trace::enabled`], so a disabled run computes nothing extra.
+//! Activation: the `MG_TRACE` environment variable names the output
+//! file and its absence makes every method a no-op. The off path costs
+//! one env lookup per *run* (not per epoch) and an `Option` check per
+//! call — telemetry collection at the call sites is gated on
+//! [`Trace::enabled`], so a disabled run computes nothing extra.
 //! Enabled or not, the sink only ever *reads* values the training loop
 //! already produced and never draws from an RNG, so tracing cannot
 //! perturb the computation (the mg-verify golden suite pins this).
@@ -182,7 +182,7 @@ impl Trace {
     }
 
     /// Emit a `kernel_stats` record from mg-runtime's process-global
-    /// registry (empty in serial builds, cumulative in parallel ones).
+    /// registry (cumulative over the process).
     pub fn kernel_stats(&mut self) {
         if let Some(inner) = &mut self.inner {
             let line = kernel_stats_json_line(&inner.task);

@@ -24,8 +24,8 @@
 //! calling thread — no workers are spawned, no locks are taken.
 //!
 //! The crate also hosts [`KernelStats`], a process-wide registry of call
-//! counts and cumulative nanoseconds per kernel, dumpable as JSON (see
-//! `DESIGN.md` for the schema).
+//! counts and cumulative nanoseconds per kernel, written out as mg-obs's
+//! `kernel_stats` trace record.
 
 mod pool;
 mod stats;

@@ -1,11 +1,12 @@
 //! Process-wide per-kernel timing registry.
 //!
 //! Kernels wrap their bodies in [`timed`]; the registry accumulates call
-//! counts and cumulative nanoseconds per op name and can be dumped as
-//! JSON at any point (training loops print it when `MG_KERNEL_STATS` is
-//! set). The registry is always on — one uncontended mutex lock plus two
-//! `Instant` reads per kernel call, which is noise next to the kernels
-//! it measures.
+//! counts and cumulative nanoseconds per op name, and
+//! [`KernelStats::snapshot`] reads it out (the trainers write it to their
+//! mg-obs trace as a `kernel_stats` record, its one output). The registry
+//! is always on, in serial and parallel builds alike — one uncontended
+//! mutex lock plus two `Instant` reads per kernel call, which is noise
+//! next to the kernels it measures.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -19,17 +20,6 @@ pub struct OpStat {
     pub calls: u64,
     /// Total time across calls, in nanoseconds.
     pub total_ns: u64,
-}
-
-impl OpStat {
-    /// Mean nanoseconds per call (0 when never called).
-    pub fn mean_ns(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.calls as f64
-        }
-    }
 }
 
 static REGISTRY: OnceLock<Mutex<HashMap<&'static str, OpStat>>> = OnceLock::new();
@@ -57,38 +47,6 @@ impl KernelStats {
         let mut v: Vec<_> = map.iter().map(|(&k, &s)| (k, s)).collect();
         v.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
         v
-    }
-
-    /// Clear all recorded stats (tests, or per-epoch reporting).
-    pub fn reset() {
-        registry()
-            .lock()
-            .expect("KernelStats lock poisoned")
-            .clear();
-    }
-
-    /// Dump the registry as a JSON object:
-    ///
-    /// ```json
-    /// {"kernels": [
-    ///   {"op": "matmul", "calls": 12, "total_ns": 34, "mean_ns": 2.8}
-    /// ]}
-    /// ```
-    pub fn to_json() -> String {
-        let entries: Vec<String> = Self::snapshot()
-            .iter()
-            .map(|(name, s)| {
-                format!(
-                    "    {{\"op\": \"{}\", \"calls\": {}, \"total_ns\": {}, \
-                     \"mean_ns\": {:.1}}}",
-                    name,
-                    s.calls,
-                    s.total_ns,
-                    s.mean_ns()
-                )
-            })
-            .collect();
-        format!("{{\n  \"kernels\": [\n{}\n  ]\n}}\n", entries.join(",\n"))
     }
 }
 
@@ -147,7 +105,6 @@ mod tests {
         let (_, s) = snap.iter().find(|(n, _)| *n == "test_op_a").unwrap();
         assert_eq!(s.calls, 2);
         assert_eq!(s.total_ns, 40);
-        assert!((s.mean_ns() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -197,14 +154,5 @@ mod tests {
                 .any(|(n, s)| *n == "test_op_after_panic" && s.calls == 1),
             "depth must unwind back to zero after a panic"
         );
-    }
-
-    #[test]
-    fn json_shape() {
-        KernelStats::record("test_op_c", 5);
-        let json = KernelStats::to_json();
-        assert!(json.contains("\"kernels\""));
-        assert!(json.contains("\"op\": \"test_op_c\""));
-        assert!(json.contains("\"calls\""));
     }
 }

@@ -21,9 +21,10 @@
 //!
 //! ## Shutdown
 //!
-//! [`Server::shutdown`] stops the acceptor, waits for in-flight
-//! connections to finish (each answers the request it has read), then
-//! flushes and joins telemetry.
+//! [`Server::shutdown`] stops the acceptor, closes the read side of
+//! every connection waiting between requests, waits for the rest to
+//! finish (each answers the request it is reading), then flushes and
+//! joins telemetry.
 
 use crate::api::{healthz_body, ApiRequest, LinksRequest, NodesRequest};
 use crate::error::ServeError;
@@ -33,16 +34,16 @@ use mg_eval::FrozenModel;
 use mg_nn::GraphCtx;
 use mg_obs::{ServeRecord, Trace};
 use mg_tensor::{Matrix, MgError};
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, HashMap};
+use std::io::BufRead;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-/// Idle keep-alive connections are closed after this long so a silent
-/// peer cannot stall shutdown indefinitely.
+/// Idle keep-alive connections are closed after this long.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server knobs and their environment variables.
@@ -198,6 +199,8 @@ struct Shared {
     stats: Mutex<StatsInner>,
     stopping: AtomicBool,
     conns: Arc<ConnGauge>,
+    /// Streams of the workers waiting between requests, by worker.
+    idle: Mutex<HashMap<ThreadId, Arc<TcpStream>>>,
     started: Instant,
     trace_tx: Mutex<Option<mpsc::Sender<ServeRecord>>>,
 }
@@ -276,6 +279,7 @@ impl Server {
             stats: Mutex::new(StatsInner::default()),
             stopping: AtomicBool::new(false),
             conns: Arc::default(),
+            idle: Mutex::default(),
             started: Instant::now(),
             trace_tx: Mutex::new(Some(trace_tx)),
             cfg,
@@ -319,13 +323,19 @@ impl Server {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight connections,
-    /// then flush and join telemetry.
+    /// Graceful shutdown: stop accepting, release idle connections,
+    /// drain the ones reading or answering a request, then flush and
+    /// join telemetry.
     pub fn shutdown(self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
         // unblock the acceptor; it checks `stopping` before handling
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
+        // a worker lists itself only after checking `stopping` under
+        // this lock, so every idle worker is either here or leaving
+        for stream in self.shared.idle.lock().expect("idle list lock").values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
         self.shared.conns.wait_zero();
         // dropping the last sender ends the telemetry loop
         self.shared.trace_tx.lock().unwrap().take();
@@ -341,10 +351,11 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut reader = std::io::BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
+    let stream = Arc::new(stream);
+    let mut writer = &*stream;
+    while next_request_begins(shared, &stream, &mut reader) {
         match read_request(&mut reader, shared.cfg.max_body) {
-            Ok(None) => break, // clean close (or idle timeout)
+            Ok(None) => break,
             Ok(Some(req)) => {
                 let keep = req.keep_alive && !shared.stopping.load(Ordering::SeqCst);
                 let (status, body, gather_ns, items) = unwind_to_internal(|| route(&req, shared));
@@ -361,6 +372,29 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
             }
         }
     }
+}
+
+/// Wait for the first byte of the next request. While it waits the
+/// worker lists its stream as idle, so shutdown can close the read side
+/// instead of waiting out [`IDLE_TIMEOUT`]; a request already being read
+/// is never listed, so it is answered. False on close, idle timeout or
+/// shutdown.
+fn next_request_begins(
+    shared: &Shared,
+    stream: &Arc<TcpStream>,
+    reader: &mut impl BufRead,
+) -> bool {
+    let me = std::thread::current().id();
+    {
+        let mut idle = shared.idle.lock().expect("idle list lock");
+        if shared.stopping.load(Ordering::SeqCst) {
+            return false;
+        }
+        idle.insert(me, Arc::clone(stream));
+    }
+    let begins = reader.fill_buf().is_ok_and(|buf| !buf.is_empty());
+    shared.idle.lock().expect("idle list lock").remove(&me);
+    begins
 }
 
 /// `(status, body, gather ns of an answered API request, items asked

@@ -16,8 +16,11 @@ use mg_serve::{
     Server,
 };
 use mg_tensor::MgError;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The serving dataset: deterministic, so every call rebuilds the same
 /// graph the checkpoint was trained on.
@@ -381,4 +384,43 @@ fn shutdown_drains_then_refuses() {
     assert!(before.contains("\"labels\""));
     // after shutdown nothing is listening
     assert!(HttpClient::connect(addr).is_err());
+}
+
+/// A keep-alive client that sits idle between requests does not hold
+/// shutdown for the idle timeout: its worker is released at once.
+#[test]
+fn shutdown_releases_an_idle_keep_alive_connection() {
+    let server = start(ephemeral(ServeConfig::default()));
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let (status, _) = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let timer = Instant::now();
+    server.shutdown();
+    let took = timer.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+/// A request the server has begun reading when shutdown starts is still
+/// answered, and shutdown waits for that answer.
+#[test]
+fn shutdown_answers_a_request_being_read() {
+    let server = start(ephemeral(ServeConfig::default()));
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let body = NodesRequest { ids: vec![0, 1] }.to_json();
+    let head = format!(
+        "POST /v1/nodes HTTP/1.1\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    // let the worker take the first bytes, so it is reading, not idle
+    std::thread::sleep(Duration::from_millis(200));
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!shutdown.is_finished(), "shutdown must wait for the answer");
+    stream.write_all(format!("\r\n{body}").as_bytes()).unwrap();
+    let mut resp = String::new();
+    stream.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    assert!(resp.contains("\"labels\""), "{resp}");
+    shutdown.join().unwrap();
 }

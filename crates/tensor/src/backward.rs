@@ -16,7 +16,6 @@ use crate::checkpoint::segment_containing;
 use crate::error::MgError;
 use crate::matrix::Matrix;
 use crate::ops::{sigmoid, softmax_rows, KlStats};
-use crate::par;
 use crate::tape::{Gradients, Op, Tape, Var};
 
 impl Tape {
@@ -485,7 +484,7 @@ fn student_t_kl_grad(
     target: Option<&Matrix>,
     gs: f64,
 ) -> Matrix {
-    par::timed("student_t_kl_grad", || {
+    mg_runtime::timed("student_t_kl_grad", || {
         let (n, d) = hv.shape();
         let m = egos.len();
         let stats = KlStats::new(t);

@@ -306,7 +306,7 @@ impl Csr {
     pub fn spmm(&self, values: &[f64], x: &Matrix) -> Matrix {
         assert_eq!(values.len(), self.nnz(), "spmm: values length");
         assert_eq!(self.cols, x.rows(), "spmm: inner dimension");
-        par::timed("spmm", || {
+        mg_runtime::timed("spmm", || {
             let mut out = Matrix::zeros(self.rows, x.cols());
             let (rows, d) = (self.rows, x.cols());
             par::for_each_row_block(
@@ -346,7 +346,7 @@ impl Csr {
         assert_eq!(values.len(), self.nnz(), "spmm_bias_relu: values length");
         assert_eq!(self.cols, x.rows(), "spmm_bias_relu: inner dimension");
         assert_eq!(bias.len(), x.cols(), "spmm_bias_relu: bias width");
-        par::timed("spmm_bias_relu", || {
+        mg_runtime::timed("spmm_bias_relu", || {
             let mut out = Matrix::zeros(self.rows, x.cols());
             let (rows, d) = (self.rows, x.cols());
             par::for_each_row_block(
@@ -403,7 +403,7 @@ impl Csr {
     pub fn spmm_t(&self, values: &[f64], x: &Matrix) -> Matrix {
         assert_eq!(values.len(), self.nnz(), "spmm_t: values length");
         assert_eq!(self.rows, x.rows(), "spmm_t: inner dimension");
-        par::timed("spmm_t", || {
+        mg_runtime::timed("spmm_t", || {
             #[cfg(feature = "parallel")]
             if par::use_parallel(self.cols, par::MIN_SPARSE_ROWS) {
                 let t = self.transpose_cache();
@@ -470,7 +470,7 @@ impl Csr {
         assert_eq!(g.rows(), self.rows, "spmm_grad_values: g rows");
         assert_eq!(x.rows(), self.cols, "spmm_grad_values: x rows");
         assert_eq!(g.cols(), x.cols(), "spmm_grad_values: inner dimension");
-        par::timed("spmm_grad_values", || {
+        mg_runtime::timed("spmm_grad_values", || {
             let mut gv = Matrix::zeros(1, self.nnz());
             par::for_each_row_segments(
                 gv.data_mut(),
@@ -504,7 +504,7 @@ impl Csr {
         assert_eq!(g.rows(), self.cols, "spmm_t_grad_values: g rows");
         assert_eq!(x.rows(), self.rows, "spmm_t_grad_values: x rows");
         assert_eq!(g.cols(), x.cols(), "spmm_t_grad_values: inner dimension");
-        par::timed("spmm_t_grad_values", || {
+        mg_runtime::timed("spmm_t_grad_values", || {
             #[cfg(feature = "parallel")]
             if par::use_parallel(self.cols, par::MIN_SPARSE_ROWS) {
                 let t = self.transpose_cache();

@@ -238,7 +238,7 @@ impl Matrix {
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        par::timed("matmul", || {
+        mg_runtime::timed("matmul", || {
             let mut out = Matrix::zeros(self.rows, rhs.cols);
             let min_rows = par::matmul_chunk_rows(self.cols * rhs.cols);
             par::for_each_row_block(&mut out.data, self.rows, rhs.cols, min_rows, {
@@ -296,7 +296,7 @@ impl Matrix {
             "matmul_tn: ({}x{})ᵀ * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        par::timed("matmul_tn", || {
+        mg_runtime::timed("matmul_tn", || {
             let min_rows = par::matmul_chunk_rows(self.rows * rhs.cols);
             if cfg!(feature = "fast-kernels") {
                 let mut out = Matrix::zeros(self.cols, rhs.cols);
@@ -378,7 +378,7 @@ impl Matrix {
             "matmul_nt: {}x{} * ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        par::timed("matmul_nt", || {
+        mg_runtime::timed("matmul_nt", || {
             let mut out = Matrix::zeros(self.rows, rhs.rows);
             let min_rows = par::matmul_chunk_rows(self.cols * rhs.rows);
             par::for_each_row_block(&mut out.data, self.rows, rhs.rows, min_rows, {
@@ -723,7 +723,7 @@ impl Matrix {
     /// chunked across threads under the `parallel` feature (elementwise
     /// ops have no reductions, so any partition is bitwise exact).
     pub fn map(&self, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
-        par::timed("map", || {
+        mg_runtime::timed("map", || {
             #[cfg(feature = "parallel")]
             if par::use_parallel(self.data.len(), par::MIN_ELEMS) {
                 let mut out = Matrix::zeros(self.rows, self.cols);
@@ -754,7 +754,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn zip(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64 + Sync) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "zip: shape mismatch");
-        par::timed("zip", || {
+        mg_runtime::timed("zip", || {
             #[cfg(feature = "parallel")]
             if par::use_parallel(self.data.len(), par::MIN_ELEMS) {
                 let mut out = Matrix::zeros(self.rows, self.cols);
@@ -790,7 +790,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add_scaled(&mut self, rhs: &Matrix, alpha: f64) {
         assert_eq!(self.shape(), rhs.shape(), "add_scaled: shape mismatch");
-        par::timed("add_scaled", || {
+        mg_runtime::timed("add_scaled", || {
             let len = self.data.len();
             par::for_each_row_block(&mut self.data, len, 1, par::MIN_ELEMS, |range, block| {
                 for (o, i) in block.iter_mut().zip(range) {

@@ -16,7 +16,6 @@ use std::rc::Rc;
 
 use crate::csr::Csr;
 use crate::matrix::Matrix;
-use crate::par;
 use crate::tape::{BceCache, KlCache, Node, Op, Tape, Var};
 
 impl Tape {
@@ -667,7 +666,7 @@ fn col_means(m: &Matrix) -> Vec<f64> {
 /// accumulates over `k` in ascending order from `0.0`, exactly as a
 /// one-ego loop does, so every entry keeps its bits.
 pub(crate) fn student_t_kernel(h: &Matrix, egos: &[usize]) -> Matrix {
-    par::timed("student_t_kernel", || {
+    mg_runtime::timed("student_t_kernel", || {
         let mut t = Matrix::zeros(h.rows(), egos.len());
         for j in 0..h.rows() {
             let hj = h.row(j);

@@ -1,10 +1,11 @@
 //! Dispatch layer between the tensor kernels and `mg-runtime`.
 //!
 //! With the `parallel` feature enabled, kernels partition their output
-//! rows across the ambient thread pool and record per-kernel timings in
-//! [`mg_runtime::KernelStats`]; without it every helper here degrades to
-//! a single plain call with zero overhead, so serial builds compile the
-//! exact seed code paths.
+//! rows across the ambient thread pool; without it every helper here
+//! degrades to a single plain call with zero overhead, so serial builds
+//! compile the exact seed code paths. Per-kernel timings go to
+//! [`mg_runtime::KernelStats`] through [`mg_runtime::timed`] in every
+//! build.
 //!
 //! ## Determinism contract
 //!
@@ -172,19 +173,6 @@ pub(crate) fn for_each_permuted_value(
             }
         }
     });
-}
-
-/// Time `f` under `name` in the kernel-stats registry.
-#[cfg(feature = "parallel")]
-#[inline]
-pub(crate) fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    mg_runtime::timed(name, f)
-}
-
-#[cfg(not(feature = "parallel"))]
-#[inline]
-pub(crate) fn timed<R>(_name: &'static str, f: impl FnOnce() -> R) -> R {
-    f()
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //! seed-varied runs (not checked in) are cross-checked between widths.
 //!
 //! The checkpointed-tape leg extends the same contract to recompute-on-
-//! backward (`MG_CKPT_TAPE` / `with_ckpt_tape`): dropping and replaying
-//! tape segments changes *when* values are resident, never what they
-//! are, so a checkpointed run must reproduce the retaining run — and the
+//! backward (`with_ckpt_tape`): dropping and replaying tape segments
+//! changes *when* values are resident, never what they are, so a checkpointed run must reproduce the retaining run — and the
 //! checked-in goldens — bit for bit.
 
 use adamgnn_core::with_ckpt_tape;
