@@ -221,8 +221,8 @@ mod tests {
         let c = ReconPlan::sample(&ctx.graph, 12);
         // a different seed draws different negatives (positives identical)
         assert_eq!(
-            a.pairs()[..ctx.graph.edges().len()],
-            c.pairs()[..ctx.graph.edges().len()]
+            a.pairs()[..ctx.graph.num_edges()],
+            c.pairs()[..ctx.graph.num_edges()]
         );
     }
 }

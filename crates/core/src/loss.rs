@@ -80,8 +80,7 @@ impl ReconPlan {
     pub fn from_rng(graph: &Topology, rng: &mut StdRng) -> Self {
         let mut pairs: Vec<(usize, usize)> = graph
             .edges()
-            .iter()
-            .map(|&(u, v)| (u as usize, v as usize))
+            .map(|(u, v)| (u as usize, v as usize))
             .collect();
         let pos = pairs.len();
         if pos > 0 {

@@ -412,7 +412,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.samples.iter().zip(&b.samples) {
             assert_eq!(x.label, y.label);
-            assert_eq!(x.graph.edges(), y.graph.edges());
+            assert!(x.graph.edges().eq(y.graph.edges()));
         }
     }
 

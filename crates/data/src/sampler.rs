@@ -13,9 +13,11 @@
 //! All randomness is drawn from the caller's `StdRng`, so a checkpointed
 //! RNG stream replays the exact sample sequence on resume.
 
-use mg_graph::{BfsScratch, Topology};
+use mg_graph::Topology;
 use rand::rngs::StdRng;
 use rand::RngExt;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One sampled minibatch subgraph.
 #[derive(Clone, Debug)]
@@ -40,23 +42,58 @@ impl SampledSubgraph {
     }
 }
 
-/// Reusable neighbor sampler holding all per-step scratch, allocated
-/// once per training run: epoch-stamped membership marks, a global→local
-/// id map (only read behind a current-epoch mark, so it never needs
-/// clearing), and an index buffer for partial Fisher–Yates fanout
-/// selection.
+/// Multiplicative hasher for `u32` node ids (the Fx scheme: rotate, xor,
+/// multiply by an odd constant). Node ids come from the graph, not from
+/// an adversary, so SipHash's flooding resistance buys nothing here.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Global → local id map of the nodes sampled so far.
+type LocalMap = HashMap<u32, u32, BuildHasherDefault<IdHasher>>;
+
+/// Give global node `v` the next local id unless it is already sampled.
+#[inline]
+fn admit(local_of: &mut LocalMap, nodes: &mut Vec<usize>, v: usize) {
+    if let Entry::Vacant(slot) = local_of.entry(v as u32) {
+        slot.insert(nodes.len() as u32);
+        nodes.push(v);
+    }
+}
+
+/// Reusable neighbor sampler holding the per-step scratch: a global →
+/// local id map whose keys are exactly the sampled nodes, and an index
+/// buffer for partial Fisher–Yates fanout selection. Both are cleared,
+/// capacity kept, on every [`NeighborSampler::sample`], so the sampler's
+/// memory follows the largest sample drawn, not the graph's node count.
 pub struct NeighborSampler {
-    scratch: BfsScratch,
-    local_of: Vec<u32>,
+    local_of: LocalMap,
     idx: Vec<u32>,
 }
 
 impl NeighborSampler {
-    /// Sampler for graphs of up to `n` nodes.
-    pub fn new(n: usize) -> NeighborSampler {
+    /// A sampler. `_n`, the node count of the graph to be sampled, sizes
+    /// nothing: one sampler serves graphs of any size.
+    pub fn new(_n: usize) -> NeighborSampler {
         NeighborSampler {
-            scratch: BfsScratch::with_capacity(n),
-            local_of: vec![0; n],
+            local_of: LocalMap::default(),
             idx: Vec::new(),
         }
     }
@@ -76,17 +113,11 @@ impl NeighborSampler {
         rng: &mut StdRng,
     ) -> SampledSubgraph {
         let n = topo.n();
-        self.scratch.begin(n);
-        if self.local_of.len() < n {
-            self.local_of.resize(n, 0);
-        }
+        self.local_of.clear();
         let mut nodes: Vec<usize> = Vec::with_capacity(seeds.len() * 4);
         for &s in seeds {
             assert!(s < n, "seed {s} out of range");
-            if self.scratch.mark(s) {
-                self.local_of[s] = nodes.len() as u32;
-                nodes.push(s);
-            }
+            admit(&mut self.local_of, &mut nodes, s);
         }
         let num_seeds = nodes.len();
         let mut truncated = 0usize;
@@ -100,11 +131,7 @@ impl NeighborSampler {
                 let row = topo.adj().row_indices(u);
                 if row.len() <= fanout {
                     for &v in row {
-                        let v = v as usize;
-                        if self.scratch.mark(v) {
-                            self.local_of[v] = nodes.len() as u32;
-                            nodes.push(v);
-                        }
+                        admit(&mut self.local_of, &mut nodes, v as usize);
                     }
                 } else {
                     truncated += 1;
@@ -118,10 +145,7 @@ impl NeighborSampler {
                     }
                     for k in 0..fanout {
                         let v = row[self.idx[k] as usize] as usize;
-                        if self.scratch.mark(v) {
-                            self.local_of[v] = nodes.len() as u32;
-                            nodes.push(v);
-                        }
+                        admit(&mut self.local_of, &mut nodes, v);
                     }
                 }
             }
@@ -132,11 +156,10 @@ impl NeighborSampler {
         // sampled nodes, independent of the full graph's edge count
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (lu, &gu) in nodes.iter().enumerate() {
-            for &gv in topo.adj().row_indices(gu) {
-                if self.scratch.is_marked(gv as usize) {
-                    let lv = self.local_of[gv as usize] as usize;
-                    if lu < lv {
-                        edges.push((lu as u32, lv as u32));
+            for gv in topo.adj().row_indices(gu) {
+                if let Some(&lv) = self.local_of.get(gv) {
+                    if lu < lv as usize {
+                        edges.push((lu as u32, lv));
                     }
                 }
             }
@@ -223,8 +246,28 @@ mod tests {
             let a = s1.sample(&g, &[step, step + 7], &[3, 2], &mut r1);
             let b = s2.sample(&g, &[step, step + 7], &[3, 2], &mut r2);
             assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.topo.edges(), b.topo.edges());
+            assert!(a.topo.edges().eq(b.topo.edges()));
             assert_eq!(a.truncated, b.truncated);
+        }
+    }
+
+    #[test]
+    fn a_sampler_reused_across_graphs_matches_fresh_samplers() {
+        let (small, large) = (grid(3, 3), grid(9, 7));
+        let mut reused = NeighborSampler::new(small.n());
+        let mut r1 = StdRng::seed_from_u64(5);
+        let mut r2 = StdRng::seed_from_u64(5);
+        for (g, seeds) in [
+            (&small, vec![4, 0]),
+            (&large, vec![40, 2, 62, 40]),
+            (&small, vec![8]),
+        ] {
+            let a = reused.sample(g, &seeds, &[3, 2], &mut r1);
+            let b = NeighborSampler::new(g.n()).sample(g, &seeds, &[3, 2], &mut r2);
+            assert_eq!(a.nodes, b.nodes);
+            assert_eq!(a.num_seeds, b.num_seeds);
+            assert_eq!(a.truncated, b.truncated);
+            assert!(a.topo.edges().eq(b.topo.edges()));
         }
     }
 

@@ -96,7 +96,7 @@ impl LinkSplit {
     /// distinct non-edges for class-balanced negative sets.
     pub fn new(g: &Topology, seed: u64) -> Result<LinkSplit, MgError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut edges: Vec<(u32, u32)> = g.edges().to_vec();
+        let mut edges: Vec<(u32, u32)> = g.edges().collect();
         if edges.len() < 10 {
             return Err(MgError::InvalidInput {
                 detail: format!("link split needs at least 10 edges, got {}", edges.len()),

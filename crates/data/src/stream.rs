@@ -5,14 +5,16 @@
 //!
 //! The mid-size generators ([`crate::make_node_dataset`]) collect every
 //! undirected edge into a `Vec<(u32, u32)>`, then hand it to
-//! `Topology::from_edges`, which materializes a second, *symmetric*
-//! vector of length 2m before building the CSR — roughly 24 bytes per
-//! edge of transient overhead on top of the final structure. At 10⁶
-//! nodes that transient dominates. The streaming builder instead replays
-//! one deterministic edge stream twice: pass 1 counts degrees and
+//! `Topology::from_edges`, which sorts and deduplicates it and then
+//! materializes a second, *symmetric* vector of length 2m before
+//! building the CSR — 8 bytes per raw edge plus 16 per unique edge of
+//! transient overhead on top of the final structure. At 10⁶ nodes that
+//! transient dominates. The streaming builder instead replays one
+//! deterministic edge stream twice: pass 1 counts degrees and
 //! prefix-sums them into `indptr`; pass 2 writes each endpoint directly
 //! into its row's slot of the index array. Per-row sort + in-place dedup
-//! compaction then establishes the CSR invariants without any
+//! compaction then establishes the CSR invariants, and the CSR moves
+//! into the [`Topology`] as its only edge storage, without any
 //! edge-tuple vector existing at any point.
 
 use crate::node::NodeDataset;
@@ -88,7 +90,7 @@ impl Default for BigGraphConfig {
             avg_degree: 8,
             feat_dim: 32,
             seed: 42,
-            byte_budget: 256 << 20,
+            byte_budget: 64 << 20,
         }
     }
 }
@@ -214,9 +216,7 @@ impl BigGraph {
             indptr[r + 1] = w;
         }
         indices.truncate(w);
-        // the m-entry unique-edge list from_symmetric_csr builds is the
-        // last transient; the final structures themselves stay live
-        charge(&mut live, &mut peak, 8 * (w / 2), cfg.byte_budget);
+        // the CSR becomes the topology without a further allocation
         let adj = Csr::from_parts(n, n, indptr, indices);
         let topo = Topology::from_symmetric_csr(adj);
         let _ = live;
@@ -306,7 +306,7 @@ mod tests {
         let got = BigGraph::generate(&cfg);
         let want = reference_topology(&cfg);
         assert_eq!(got.topo.n(), want.n());
-        assert_eq!(got.topo.edges(), want.edges());
+        assert!(got.topo.edges().eq(want.edges()));
         for i in (0..cfg.n).step_by(97) {
             assert_eq!(
                 got.topo.neighbors(i).collect::<Vec<_>>(),
@@ -319,7 +319,7 @@ mod tests {
     fn generation_is_deterministic() {
         let a = BigGraph::generate(&small_cfg());
         let b = BigGraph::generate(&small_cfg());
-        assert_eq!(a.topo.edges(), b.topo.edges());
+        assert!(a.topo.edges().eq(b.topo.edges()));
         let mut ra = vec![0.0; a.feat_dim()];
         let mut rb = vec![0.0; b.feat_dim()];
         for i in [0, 17, 1999] {
@@ -351,8 +351,7 @@ mod tests {
         let intra = g
             .topo
             .edges()
-            .iter()
-            .filter(|&&(u, v)| g.label(u as usize) == g.label(v as usize))
+            .filter(|&(u, v)| g.label(u as usize) == g.label(v as usize))
             .count();
         let frac = intra as f64 / g.topo.num_edges() as f64;
         // 0.7 intra draws + 1/classes of the uniform remainder, minus
@@ -396,8 +395,16 @@ mod tests {
     fn peak_accounting_reflects_index_array() {
         let cfg = small_cfg();
         let g = BigGraph::generate(&cfg);
-        // the index array alone is 4·nnz bytes; peak must cover it
-        assert!(g.peak_bytes >= 4 * g.topo.adj().nnz());
+        // the peak is pass 2's live set: indptr, the index array over
+        // every raw endpoint (before dedup) and the write cursors
+        let mut raw_endpoints = 0usize;
+        for_each_edge(&cfg, |_, _| raw_endpoints += 2);
+        assert!(
+            raw_endpoints > g.topo.adj().nnz(),
+            "the stream has duplicates"
+        );
+        let ledger = 8 * (cfg.n + 1) + 4 * raw_endpoints + 8 * cfg.n;
+        assert_eq!(g.peak_bytes, ledger);
         assert!(g.peak_bytes <= cfg.byte_budget);
     }
 }

@@ -111,15 +111,14 @@ proptest! {
         let canon = |t: &mg_graph::Topology| {
             let mut e: Vec<(u32, u32)> = t
                 .edges()
-                .iter()
-                .map(|&(u, v)| (u.min(v), u.max(v)))
+                .map(|(u, v)| (u.min(v), u.max(v)))
                 .collect();
             e.sort_unstable();
             e
         };
         prop_assert_eq!(canon(&sub.topo), canon(&reference));
         // every local edge maps back to a real global edge
-        for &(lu, lv) in sub.topo.edges() {
+        for (lu, lv) in sub.topo.edges() {
             prop_assert!(ds.graph.has_edge(sub.nodes[lu as usize], sub.nodes[lv as usize]));
         }
     }

@@ -152,8 +152,8 @@ impl FullGraph {
     }
 
     pub fn clusters(ds: &NodeDataset) -> FullGraph {
-        let edges = ds.graph.edges().iter();
-        let edges = edges.map(|&(u, v)| (u as usize, v as usize)).collect();
+        let edges = ds.graph.edges();
+        let edges = edges.map(|(u, v)| (u as usize, v as usize)).collect();
         let classes = ds.num_classes;
         FullGraph::new(ds.graph.clone(), ds, Goal::Clusters { classes, edges })
     }

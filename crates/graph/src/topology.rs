@@ -8,9 +8,7 @@ use mg_tensor::Csr;
 /// distance array per call, making per-node ego formation O(n²) — fatal at
 /// 10⁶ nodes. A `BfsScratch` is allocated once and reused across calls:
 /// each traversal bumps `epoch`, so "visited" is `stamp[v] == epoch` and
-/// clearing between calls costs nothing. The same marks double as a
-/// generic visited set for the neighbour sampler ([`BfsScratch::begin`] /
-/// [`BfsScratch::mark`]).
+/// clearing between calls costs nothing.
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
     stamp: Vec<u64>,
@@ -37,7 +35,7 @@ impl BfsScratch {
 
     /// Start a fresh traversal over a graph of `n` nodes: grows the mark
     /// arrays if needed and invalidates all previous marks in O(1).
-    pub fn begin(&mut self, n: usize) {
+    fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.dist.resize(n, 0);
@@ -45,36 +43,19 @@ impl BfsScratch {
         self.epoch += 1;
         self.queue.clear();
     }
-
-    /// Mark `v` visited in the current traversal; returns `true` if the
-    /// node was not yet marked (i.e. this call marked it).
-    #[inline]
-    pub fn mark(&mut self, v: usize) -> bool {
-        if self.stamp[v] == self.epoch {
-            return false;
-        }
-        self.stamp[v] = self.epoch;
-        true
-    }
-
-    /// Whether `v` is marked in the current traversal.
-    #[inline]
-    pub fn is_marked(&self, v: usize) -> bool {
-        self.stamp[v] == self.epoch
-    }
 }
 
 /// An undirected, simple graph (no self-loops, no multi-edges).
 ///
-/// The adjacency is stored as a symmetric CSR *pattern*; edge weights, when
-/// needed (GCN normalisation, coarsened hyper-graphs), live in separate
-/// value vectors so they can be tape variables.
+/// The adjacency is stored as a symmetric CSR *pattern*, the only copy of
+/// the graph's edges; [`Topology::edges`] reads the unique edge list off
+/// its upper triangle. Edge weights, when needed (GCN normalisation,
+/// coarsened hyper-graphs), live in separate value vectors so they can be
+/// tape variables.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
     adj: Csr,
-    /// Unique undirected edges with `u < v`.
-    edges: Vec<(u32, u32)>,
 }
 
 impl Topology {
@@ -102,45 +83,51 @@ impl Topology {
             sym.push((u, v));
             sym.push((v, u));
         }
-        let adj = Csr::from_coo(n, n, &sym);
-        Topology { n, adj, edges }
+        drop(edges);
+        Topology {
+            n,
+            adj: Csr::from_coo(n, n, &sym),
+        }
     }
 
     /// Build from an already-symmetric CSR adjacency pattern (sorted
     /// per-row indices, no self-loops, no duplicates — the invariants a
     /// streaming CSR builder establishes directly). Unlike
-    /// [`Topology::from_edges`], this never materializes a symmetric
-    /// `Vec<(u32, u32)>` of length 2m or re-sorts: the only allocation is
-    /// the m-entry unique-edge list the struct carries anyway.
+    /// [`Topology::from_edges`], this allocates nothing: the CSR is moved
+    /// in as the graph's only edge storage after a validating scan.
     ///
     /// # Panics
-    /// Panics if the matrix is not square, carries a self-loop, or (in
-    /// debug builds) is not symmetric.
+    /// Panics if the matrix is not square, has a row that is not strictly
+    /// ascending, carries a self-loop, or (in debug builds) is not
+    /// symmetric.
     pub fn from_symmetric_csr(adj: Csr) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
         let n = adj.rows();
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(adj.nnz() / 2);
         for r in 0..n {
-            for &c in adj.row_indices(r) {
-                assert!(c as usize != r, "self-loop at node {r}");
-                if (r as u32) < c {
-                    edges.push((r as u32, c));
-                }
-            }
+            let row = adj.row_indices(r);
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "row {r} is not strictly ascending"
+            );
+            assert!(
+                row.binary_search(&(r as u32)).is_err(),
+                "self-loop at node {r}"
+            );
         }
+        let g = Topology { n, adj };
         assert_eq!(
-            edges.len() * 2,
-            adj.nnz(),
+            g.edges().count() * 2,
+            g.adj.nnz(),
             "adjacency pattern is not symmetric"
         );
         #[cfg(debug_assertions)]
-        for &(u, v) in &edges {
+        for (u, v) in g.edges() {
             debug_assert!(
-                adj.row_indices(v as usize).binary_search(&u).is_ok(),
+                g.has_edge(v as usize, u as usize),
                 "missing reverse edge ({v},{u})"
             );
         }
-        Topology { n, adj, edges }
+        g
     }
 
     /// Number of nodes.
@@ -152,13 +139,19 @@ impl Topology {
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.adj.nnz() / 2
     }
 
-    /// Unique undirected edges (`u < v`).
-    #[inline]
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
+    /// Unique undirected edges `(u, v)` with `u < v`, sorted: the CSR's
+    /// upper triangle, rows ascending.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.n).flat_map(move |r| {
+            let row = self.adj.row_indices(r);
+            let r = r as u32;
+            row[row.partition_point(|&c| c <= r)..]
+                .iter()
+                .map(move |&c| (r, c))
+        })
     }
 
     /// Symmetric adjacency pattern (no self-loops).
@@ -264,8 +257,8 @@ impl Topology {
     /// edge plus one self-loop per node — the canonical message-passing
     /// index used by attention layers (GAT, AdamGNN fitness scoring).
     pub fn directed_edges_with_self_loops(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut src = Vec::with_capacity(self.edges.len() * 2 + self.n);
-        let mut dst = Vec::with_capacity(self.edges.len() * 2 + self.n);
+        let mut src = Vec::with_capacity(self.adj.nnz() + self.n);
+        let mut dst = Vec::with_capacity(self.adj.nnz() + self.n);
         for r in 0..self.n {
             for c in self.neighbors(r) {
                 src.push(c);
@@ -289,7 +282,7 @@ impl Topology {
             new_of[old] = new;
         }
         let mut edges = Vec::new();
-        for &(u, v) in &self.edges {
+        for (u, v) in self.edges() {
             let (nu, nv) = (new_of[u as usize], new_of[v as usize]);
             if nu != usize::MAX && nv != usize::MAX {
                 edges.push((nu as u32, nv as u32));
@@ -381,27 +374,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_marks_reset_per_traversal() {
-        let mut s = BfsScratch::new();
-        s.begin(4);
-        assert!(s.mark(2));
-        assert!(!s.mark(2), "second mark in same traversal");
-        assert!(s.is_marked(2));
-        assert!(!s.is_marked(1));
-        s.begin(4);
-        assert!(!s.is_marked(2), "begin() invalidates old marks");
-        assert!(s.mark(2));
-        // growing to a larger graph keeps working
-        s.begin(10);
-        assert!(s.mark(9));
-    }
-
-    #[test]
     fn from_symmetric_csr_matches_from_edges() {
         let g = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
         let rebuilt = Topology::from_symmetric_csr(g.adj().clone());
         assert_eq!(rebuilt.n(), g.n());
-        assert_eq!(rebuilt.edges(), g.edges());
+        assert!(rebuilt.edges().eq(g.edges()));
         for u in 0..5 {
             assert_eq!(
                 rebuilt.neighbors(u).collect::<Vec<_>>(),

@@ -11,7 +11,49 @@ fn random_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
+/// Strategy: a raw edge list as (n, edges) that is sure to carry
+/// duplicates, reversed pairs and self-loops next to its random pairs.
+fn messy_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    random_graph().prop_flat_map(|(n, edges)| {
+        let m = edges.len().max(1);
+        (
+            proptest::collection::vec((0..m, 0..2u8), 0..m + 1),
+            proptest::collection::vec(0..n as u32, 1..4),
+        )
+            .prop_map(move |(copies, loops)| {
+                let mut raw = edges.clone();
+                for &(i, reverse) in &copies {
+                    if let Some(&(u, v)) = edges.get(i) {
+                        raw.push(if reverse == 1 { (v, u) } else { (u, v) });
+                    }
+                }
+                raw.extend(loops.iter().map(|&u| (u, u)));
+                (n, raw)
+            })
+    })
+}
+
 proptest! {
+    #[test]
+    fn edges_are_the_sorted_unique_pairs_of_the_raw_list((n, raw) in messy_edge_list()) {
+        let g = Topology::from_edges(n, &raw);
+        let mut want: Vec<(u32, u32)> = raw
+            .iter()
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), want);
+        prop_assert_eq!(g.num_edges() * 2, g.adj().nnz());
+        let rebuilt = Topology::from_symmetric_csr(g.adj().clone());
+        prop_assert_eq!(rebuilt.n(), g.n());
+        prop_assert_eq!(rebuilt.num_edges(), g.num_edges());
+        prop_assert!(rebuilt.edges().eq(g.edges()));
+        prop_assert_eq!(rebuilt.adj().indptr(), g.adj().indptr());
+        prop_assert_eq!(rebuilt.adj().indices(), g.adj().indices());
+    }
+
     #[test]
     fn adjacency_is_symmetric((n, edges) in random_graph()) {
         let g = Topology::from_edges(n, &edges);
@@ -59,7 +101,7 @@ proptest! {
         let comp = g.connected_components();
         prop_assert_eq!(comp.len(), n);
         // edges never cross components
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             prop_assert_eq!(comp[u as usize], comp[v as usize]);
         }
     }
@@ -92,7 +134,7 @@ proptest! {
         let g = Topology::from_edges(n, &edges);
         let take: Vec<usize> = (0..n).step_by(2).collect();
         let (sub, map) = g.induced_subgraph(&take);
-        for &(u, v) in sub.edges() {
+        for (u, v) in sub.edges() {
             prop_assert!(g.has_edge(map[u as usize], map[v as usize]));
         }
     }

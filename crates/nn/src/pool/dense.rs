@@ -142,7 +142,7 @@ impl DensePoolGc {
 pub fn dense_adj(ctx: &GraphCtx) -> Matrix {
     let n = ctx.n();
     let mut a = Matrix::zeros(n, n);
-    for &(u, v) in ctx.graph.edges() {
+    for (u, v) in ctx.graph.edges() {
         a[(u as usize, v as usize)] = 1.0;
         a[(v as usize, u as usize)] = 1.0;
     }

@@ -40,8 +40,7 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 fn permute_graph(g: &Topology, p: &[usize]) -> Topology {
     let edges: Vec<(u32, u32)> = g
         .edges()
-        .iter()
-        .map(|&(u, v)| (p[u as usize] as u32, p[v as usize] as u32))
+        .map(|(u, v)| (p[u as usize] as u32, p[v as usize] as u32))
         .collect();
     Topology::from_edges(g.n(), &edges)
 }
