@@ -118,8 +118,7 @@ pub fn pair_fitness_with(
     n: usize,
     linearity: bool,
 ) -> Var {
-    let hw = tape.matmul(h, bind.var(params.w));
-    let act = tape.leaky_relu(hw, ATT_SLOPE);
+    let act = tape.matmul_leaky_relu(h, bind.var(params.w), ATT_SLOPE);
     let lhs = tape.matmul(act, bind.var(params.a_lhs)); // n x 1 (member side)
     let rhs = tape.matmul(act, bind.var(params.a_rhs)); // n x 1 (ego side)
     let e_src = tape.gather_rows(lhs, pairs.src.clone());
@@ -131,9 +130,7 @@ pub fn pair_fitness_with(
         return f_s;
     }
     // linearity component
-    let h_src = tape.gather_rows(h, pairs.src.clone());
-    let h_dst = tape.gather_rows(h, pairs.dst.clone());
-    let f_c = tape.sigmoid(tape.row_dot(h_src, h_dst));
+    let f_c = tape.sigmoid(tape.pair_dot(h, pairs.src.clone(), pairs.dst.clone()));
     tape.mul_elem(f_s, f_c)
 }
 

@@ -289,12 +289,11 @@ impl AdamGnn {
         // ---- flyback aggregation (Eq. 4) ----
         let (h, beta) = if self.cfg.flyback && !unpooled.is_empty() {
             let fly_scope = ckpt.then(|| tape.begin_checkpoint());
-            let h0w = tape.leaky_relu(tape.matmul(h0, bind.var(self.fly.w)), ATT_SLOPE);
-            let _ = h0w; // note: W applies to the *message* side per Eq. 4
+            // W applies to the *message* side only, per Eq. 4
             let rhs = tape.matmul(tape.leaky_relu(h0, ATT_SLOPE), bind.var(self.fly.a_rhs));
             let mut scores = Vec::with_capacity(unpooled.len());
             for &up in &unpooled {
-                let lhs = tape.leaky_relu(tape.matmul(up, bind.var(self.fly.w)), ATT_SLOPE);
+                let lhs = tape.matmul_leaky_relu(up, bind.var(self.fly.w), ATT_SLOPE);
                 let e = tape.add(tape.matmul(lhs, bind.var(self.fly.a_lhs)), rhs);
                 scores.push(e);
             }

@@ -290,7 +290,7 @@ impl AdamGnnPooling {
         let phi_sel = tape.gather_rows(phi, pair_ks);
         // score = a₁ᵀ σ(W (φ_ij h_j)) + a₂ᵀ σ(h_i)
         let scaled = tape.mul_col(h_mem, phi_sel);
-        let u = tape.leaky_relu(tape.matmul(scaled, bind.var(self.init_att.w)), ATT_SLOPE);
+        let u = tape.matmul_leaky_relu(scaled, bind.var(self.init_att.w), ATT_SLOPE);
         let s_lhs = tape.matmul(u, bind.var(self.init_att.a_lhs));
         let rhs_nodes = tape.matmul(
             tape.leaky_relu(h_prev, ATT_SLOPE),
@@ -495,7 +495,7 @@ impl Pooling for AsapPooling {
         // intra-cluster attention → cluster representations x_all
         let att_scope = ckpt.then(|| tape.begin_checkpoint());
         let h_mem = tape.gather_rows(state.h_prev, members.clone());
-        let u = tape.leaky_relu(tape.matmul(h_mem, bind.var(self.att.w)), ATT_SLOPE);
+        let u = tape.matmul_leaky_relu(h_mem, bind.var(self.att.w), ATT_SLOPE);
         let e_lhs = tape.matmul(u, bind.var(self.att.a_lhs));
         let rhs_nodes = tape.matmul(
             tape.leaky_relu(state.h_prev, ATT_SLOPE),

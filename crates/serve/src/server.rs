@@ -239,16 +239,21 @@ impl Server {
         })?;
 
         let (trace_tx, trace_rx) = mpsc::channel::<ServeRecord>();
+        let (sink_ready_tx, sink_ready_rx) = mpsc::channel::<()>();
         let telemetry = std::thread::Builder::new()
             .name("mg-serve-trace".into())
             .spawn(move || {
                 let mut trace = Trace::from_env("serve");
+                let _ = sink_ready_tx.send(());
                 for rec in trace_rx {
                     trace.serve(&rec);
                     trace.flush();
                 }
             })
             .expect("spawn telemetry thread");
+        // `MG_TRACE` is read by the time `start` returns, so a caller may
+        // change the variable afterwards without racing the sink
+        let _ = sink_ready_rx.recv();
 
         let startup = std::thread::Builder::new()
             .name("mg-serve-load".into())

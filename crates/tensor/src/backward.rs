@@ -138,6 +138,19 @@ impl Tape {
                         acc!(*b, nodes[a.0].val().matmul_tn(&g));
                     }
                 }
+                Op::MatMulLeakyRelu { a, b, slope } => {
+                    // LeakyReLU mask from the output's sign (see
+                    // `Tape::matmul_leaky_relu`), then the MatMul backward
+                    // on that gradient, as the unfused sweep runs them.
+                    let s = *slope;
+                    let gz = g.zip(out, |gx, y| if y > 0.0 { gx } else { s * gx });
+                    if nodes[a.0].requires_grad {
+                        acc!(*a, gz.matmul_nt(nodes[b.0].val()));
+                    }
+                    if nodes[b.0].requires_grad {
+                        acc!(*b, nodes[a.0].val().matmul_tn(&gz));
+                    }
+                }
                 Op::Transpose(a) => {
                     acc!(*a, g.transpose());
                 }
@@ -271,27 +284,21 @@ impl Tape {
                     }
                     acc!(*scores, gx);
                 }
-                Op::RowDot(a, b) => {
-                    let (av, bv) = (nodes[a.0].val(), nodes[b.0].val());
-                    if nodes[a.0].requires_grad {
-                        let mut ga = Matrix::zeros(av.rows(), av.cols());
-                        for r in 0..av.rows() {
-                            let gr = g[(r, 0)];
-                            for (o, &x) in ga.row_mut(r).iter_mut().zip(bv.row(r)) {
-                                *o = gr * x;
+                Op::PairDot { h, src, dst } => {
+                    // The unfused chain row_dot(gather(h, src), gather(h, dst))
+                    // swept the `dst` gather before the `src` gather, each
+                    // adding into h's buffer in ascending pair order: row
+                    // `dst_p` gets `g_p · h[src_p]`, then row `src_p` gets
+                    // `g_p · h[dst_p]`. Two passes in that order keep the bits.
+                    let hv = nodes[h.0].val();
+                    let gh = buf!(*h);
+                    for (to, from) in [(dst, src), (src, dst)] {
+                        for (p, (&t, &f)) in to.iter().zip(from.iter()).enumerate() {
+                            let gp = g[(p, 0)];
+                            for (o, &x) in gh.row_mut(t).iter_mut().zip(hv.row(f)) {
+                                *o += gp * x;
                             }
                         }
-                        acc!(*a, ga);
-                    }
-                    if nodes[b.0].requires_grad {
-                        let mut gb = Matrix::zeros(bv.rows(), bv.cols());
-                        for r in 0..bv.rows() {
-                            let gr = g[(r, 0)];
-                            for (o, &x) in gb.row_mut(r).iter_mut().zip(av.row(r)) {
-                                *o = gr * x;
-                            }
-                        }
-                        acc!(*b, gb);
                     }
                 }
                 Op::MulCol { a, col } => {

@@ -130,7 +130,7 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<Var>) {
         | Op::MulElem(a, b)
         | Op::AddBias(a, b)
         | Op::MatMul(a, b)
-        | Op::RowDot(a, b) => {
+        | Op::MatMulLeakyRelu { a, b, .. } => {
             out.push(*a);
             out.push(*b);
         }
@@ -177,7 +177,7 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<Var>) {
         }
         Op::ConcatCols(parts) => out.extend_from_slice(parts),
         Op::NllLoss { logp, .. } => out.push(*logp),
-        Op::BcePairs { h, .. } | Op::StudentTKl { h, .. } => out.push(*h),
+        Op::BcePairs { h, .. } | Op::StudentTKl { h, .. } | Op::PairDot { h, .. } => out.push(*h),
     }
 }
 

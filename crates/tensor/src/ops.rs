@@ -63,6 +63,21 @@ impl Tape {
         self.record(Op::MatMul(a, b), self.rg2(a, b))
     }
 
+    /// Fused `leaky_relu(a * b, slope)`: the product goes through the
+    /// same [`Matrix::matmul`] dispatch and the activation applies the
+    /// same per-element expression as the unfused
+    /// `leaky_relu(matmul(a, b))` chain, and the backward runs the same
+    /// gradient kernels in the same order, so fusing is bitwise
+    /// invisible. Only the activated output stays on the tape.
+    ///
+    /// # Panics
+    /// Panics if `slope < 0`: the backward reads the activation's sign
+    /// from the output, which a negative slope would flip.
+    pub fn matmul_leaky_relu(&self, a: Var, b: Var, slope: f64) -> Var {
+        assert!(slope >= 0.0, "matmul_leaky_relu: slope must be >= 0");
+        self.record(Op::MatMulLeakyRelu { a, b, slope }, self.rg2(a, b))
+    }
+
     /// Materialised transpose.
     pub fn transpose(&self, a: Var) -> Var {
         self.record(Op::Transpose(a), self.rg(a))
@@ -150,9 +165,12 @@ impl Tape {
         self.record(Op::SegmentSoftmax { scores, seg, n_seg }, rg)
     }
 
-    /// Per-row dot product `out[i] = a[i,:] . b[i,:]`, yielding `n x 1`.
-    pub fn row_dot(&self, a: Var, b: Var) -> Var {
-        self.record(Op::RowDot(a, b), self.rg2(a, b))
+    /// Per-pair dot product `out[p] = h[src[p],:] . h[dst[p],:]`, yielding
+    /// `P x 1`. Equal, to the bit and in every gradient, to
+    /// `row_dot(gather_rows(h, src), gather_rows(h, dst))`, without the
+    /// two `P x d` gathered copies on the tape.
+    pub fn pair_dot(&self, h: Var, src: Rc<Vec<usize>>, dst: Rc<Vec<usize>>) -> Var {
+        self.record(Op::PairDot { h, src, dst }, self.rg(h))
     }
 
     /// Scale row `i` of `a` by `col[i]` (`col` is `n x 1`).
@@ -425,6 +443,14 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
             Matrix::from_fn(av.rows(), av.cols(), |i, j| av[(i, j)] + brow[j])
         }
         Op::MatMul(a, b) => v(*a).matmul(v(*b)),
+        Op::MatMulLeakyRelu { a, b, slope } => {
+            let s = *slope;
+            let mut out = v(*a).matmul(v(*b));
+            for x in out.data_mut() {
+                *x = if *x > 0.0 { *x } else { s * *x };
+            }
+            out
+        }
         Op::Transpose(a) => v(*a).transpose(),
         Op::Relu(a) => v(*a).map(|x| x.max(0.0)),
         Op::LeakyRelu(a, slope) => {
@@ -500,10 +526,10 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
             assert_eq!(sv.rows(), seg.len(), "segment_softmax: length mismatch");
             segment_softmax(sv.data(), seg, *n_seg)
         }
-        Op::RowDot(a, b) => {
-            let (av, bv) = (v(*a), v(*b));
-            assert_eq!(av.shape(), bv.shape(), "row_dot: shape mismatch");
-            Matrix::from_fn(av.rows(), 1, |i, _| av.row_dot(i, bv, i))
+        Op::PairDot { h, src, dst } => {
+            let hv = v(*h);
+            assert_eq!(src.len(), dst.len(), "pair_dot: length mismatch");
+            Matrix::from_fn(src.len(), 1, |p, _| hv.row_dot(src[p], hv, dst[p]))
         }
         Op::MulCol { a, col } => {
             let (av, cv) = (v(*a), v(*col));

@@ -89,6 +89,14 @@ pub(crate) enum Op {
     /// `a (n x d) + bias (1 x d)` broadcast over rows.
     AddBias(Var, Var),
     MatMul(Var, Var),
+    /// Fused `leaky_relu(a * b, slope)` — an attention's matmul and its
+    /// activation as one node. The backward needs no cached product: for
+    /// `slope >= 0`, `out > 0` holds exactly where the product was `> 0`.
+    MatMulLeakyRelu {
+        a: Var,
+        b: Var,
+        slope: f64,
+    },
     Transpose(Var),
     Relu(Var),
     LeakyRelu(Var, f64),
@@ -140,8 +148,14 @@ pub(crate) enum Op {
         seg: Rc<Vec<usize>>,
         n_seg: usize,
     },
-    /// Per-row dot product of two equally-shaped matrices -> `n x 1`.
-    RowDot(Var, Var),
+    /// Per-pair dot product `out[p] = h[src[p]] . h[dst[p]]` -> `P x 1`,
+    /// read straight from `h`: the two `P x d` gathers it replaces are
+    /// never materialised.
+    PairDot {
+        h: Var,
+        src: Rc<Vec<usize>>,
+        dst: Rc<Vec<usize>>,
+    },
     /// Scale each row of `a (n x d)` by `col (n x 1)`.
     MulCol {
         a: Var,

@@ -252,11 +252,34 @@ fn grad_segment_softmax() {
     assert!(rep.ok(TOL), "{rep:?}");
 }
 
+/// Fused per-pair dot, with a repeated pair (2, 3) and a self pair
+/// (1, 1), where both gradient passes land in the same row.
 #[test]
-fn grad_row_dot() {
-    let rep = check_gradients(&[rand_m(4, 3, 44), rand_m(4, 3, 45)], EPS, |t, v| {
-        let y = t.row_dot(v[0], v[1]);
+fn grad_pair_dot() {
+    let src = Rc::new(vec![0usize, 2, 1, 2, 3]);
+    let dst = Rc::new(vec![1usize, 3, 1, 3, 0]);
+    let rep = check_gradients(&[rand_m(4, 3, 44)], EPS, move |t, v| {
+        let y = t.pair_dot(v[0], src.clone(), dst.clone());
         project(t, y, 46)
+    });
+    assert!(rep.ok(TOL), "{rep:?}");
+}
+
+/// Fused `leaky_relu(a * b)` — both operands get gradients through the
+/// single node, on both sides of the kink.
+#[test]
+fn grad_matmul_leaky_relu() {
+    let (a, b) = (rand_m(4, 3, 45), rand_m(3, 5, 100));
+    // Central differences are only valid away from the kink at zero.
+    let pre = a.matmul(&b);
+    assert!(
+        pre.data().iter().all(|v| v.abs() > 100.0 * EPS),
+        "pre-activation too close to the LeakyReLU kink for a reliable gradcheck"
+    );
+    assert!(pre.data().iter().any(|&v| v < 0.0) && pre.data().iter().any(|&v| v > 0.0));
+    let rep = check_gradients(&[a, b], EPS, |t, v| {
+        let y = t.matmul_leaky_relu(v[0], v[1], 0.2);
+        project(t, y, 101)
     });
     assert!(rep.ok(TOL), "{rep:?}");
 }

@@ -16,7 +16,9 @@
 //! 3. **Fused spmm+bias+ReLU equivalence.** The fused kernel and tape op
 //!    must be *bitwise* equal to the unfused spmm → add_bias → relu
 //!    chain, forward and backward — that is what keeps the golden traces
-//!    byte-identical when the GCN layer takes the fused path.
+//!    byte-identical when the GCN layer takes the fused path. The same
+//!    holds for the fused `pair_dot` and `matmul_leaky_relu` tape ops
+//!    against the chains they replace in the attentions.
 
 use std::rc::Rc;
 
@@ -298,6 +300,121 @@ fn fused_tape_op_bitwise_matches_unfused_tape_chain() {
     assert_eq!(fgv.data(), ugv.data(), "grad wrt sparse values");
     assert_eq!(fgd.data(), ugd.data(), "grad wrt dense input");
     assert_eq!(fgb.data(), ugb.data(), "grad wrt bias");
+}
+
+// -- fused pair_dot and matmul_leaky_relu: bitwise equivalence ----------
+
+/// `h` for the pair test: mixed signs and no zero entry, so no pair's
+/// products are all `-0.0` (the one case where an accumulation started
+/// from `+0.0` could disagree with `Matrix::row_dot` on the sign of a
+/// zero). The pairs repeat (2, 5), hold two self pairs, (3, 3) and
+/// (0, 0), and put rows 0 and 4 on both sides.
+fn pair_fixture() -> (Matrix, Rc<Vec<usize>>, Rc<Vec<usize>>) {
+    let h = Matrix::from_fn(7, 5, |i, j| ((i * 5 + j * 3) % 11) as f64 * 0.35 - 1.6);
+    let src = Rc::new(vec![0, 2, 4, 3, 2, 6, 1, 4, 0]);
+    let dst = Rc::new(vec![1, 5, 2, 3, 5, 4, 6, 0, 0]);
+    (h, src, dst)
+}
+
+/// `pair_dot` against the chain it replaced in the fitness: two per-pair
+/// gathers of `h` and their row-wise dot, the dot spelt here as
+/// mul_elem → transpose → sum_rows (the same products, summed in the
+/// same ascending order). `h` also feeds one consumer recorded before
+/// the pair op and one recorded after it, so the order in which the
+/// contributions land in h's shared gradient buffer is checked too.
+#[test]
+fn fused_pair_dot_bitwise_matches_gather_chain() {
+    let (hm, src, dst) = pair_fixture();
+    let p = src.len();
+    let run = |fused: bool| {
+        let t = Tape::new();
+        let h = t.leaf(hm.clone(), true);
+        let w = t.leaf(
+            Matrix::from_fn(5, 3, |i, j| (i as f64 - 2.0) * 0.3 + j as f64 * 0.1),
+            true,
+        );
+        let before = t.matmul(h, w);
+        let dots = if fused {
+            t.pair_dot(h, src.clone(), dst.clone())
+        } else {
+            let hs = t.gather_rows(h, src.clone());
+            let hd = t.gather_rows(h, dst.clone());
+            let sums = t.sum_rows(t.transpose(t.mul_elem(hs, hd)));
+            t.reshape(sums, p, 1)
+        };
+        let after = t.tanh(h);
+        let weights = t.constant(Matrix::from_fn(p, 1, |i, _| i as f64 * 0.5 - 1.7));
+        let pair_term = t.sum_all(t.mul_elem(t.sigmoid(dots), weights));
+        let rest = t.add(t.sum_all(before), t.sum_all(t.mul_elem(after, after)));
+        let loss = t.add(pair_term, rest);
+        let out = t.value_cloned(dots);
+        let g = t.backward(loss);
+        (out, g.get(h).unwrap().clone(), g.get(w).unwrap().clone())
+    };
+    let (fo, fgh, fgw) = run(true);
+    let (uo, ugh, ugw) = run(false);
+    let direct: Vec<f64> = src
+        .iter()
+        .zip(dst.iter())
+        .map(|(&i, &j)| hm.row_dot(i, &hm, j))
+        .collect();
+    assert_eq!(
+        fo.data(),
+        &direct[..],
+        "forward is Matrix::row_dot per pair"
+    );
+    assert_eq!(fo.data(), uo.data(), "forward value");
+    assert_eq!(fgh.data(), ugh.data(), "grad wrt h");
+    assert_eq!(
+        fgw.data(),
+        ugw.data(),
+        "grad wrt the other consumer's weight"
+    );
+    // Both signs among the pair scores, or the test proves little.
+    assert!(fo.data().iter().any(|&v| v < 0.0) && fo.data().iter().any(|&v| v > 0.0));
+}
+
+/// `matmul_leaky_relu` against `leaky_relu(matmul(a, b))`. Row 2 of `a`
+/// is zero, so its products are exact zeros; the other rows give both
+/// signs. `a` and `b` are read again by a product recorded after the
+/// fused op, so their gradient buffers are shared.
+#[test]
+fn fused_matmul_leaky_relu_bitwise_matches_unfused_chain() {
+    let am = Matrix::from_fn(6, 4, |i, j| {
+        if i == 2 {
+            0.0
+        } else {
+            ((i * 7 + j * 5) % 9) as f64 * 0.4 - 1.5
+        }
+    });
+    let bm = Matrix::from_fn(4, 5, |i, j| ((i * 3 + j * 11) % 7) as f64 * 0.5 - 1.4);
+    let run = |fused: bool| {
+        let t = Tape::new();
+        let a = t.leaf(am.clone(), true);
+        let b = t.leaf(bm.clone(), true);
+        let y = if fused {
+            t.matmul_leaky_relu(a, b, 0.2)
+        } else {
+            t.leaky_relu(t.matmul(a, b), 0.2)
+        };
+        let after = t.matmul(a, b);
+        let weights = t.constant(Matrix::from_fn(6, 5, |i, j| (i * 5 + j) as f64 * 0.1 - 1.3));
+        let loss = t.add(
+            t.sum_all(t.mul_elem(y, weights)),
+            t.sum_all(t.mul_elem(after, after)),
+        );
+        let out = t.value_cloned(y);
+        let g = t.backward(loss);
+        (out, g.get(a).unwrap().clone(), g.get(b).unwrap().clone())
+    };
+    let (fo, fga, fgb) = run(true);
+    let (uo, uga, ugb) = run(false);
+    assert_eq!(fo.data(), uo.data(), "forward value");
+    assert_eq!(fga.data(), uga.data(), "grad wrt a");
+    assert_eq!(fgb.data(), ugb.data(), "grad wrt b");
+    // Zero, negative and positive pre-activations all present.
+    assert!(fo.row(2).iter().all(|&v| v == 0.0));
+    assert!(fo.data().iter().any(|&v| v < 0.0) && fo.data().iter().any(|&v| v > 0.0));
 }
 
 // -- dispatch parity across pool widths ----------------------------------

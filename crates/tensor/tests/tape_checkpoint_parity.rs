@@ -1,6 +1,7 @@
 //! Differential parity: checkpointed tape vs retaining tape.
 //!
-//! A random op chain (matmul / spmm / fused spmm+bias+relu / map / zip)
+//! A random op chain (matmul / spmm / the fused spmm+bias+relu,
+//! matmul+leaky-relu and pair-dot ops / map / zip)
 //! with random checkpoint-segment boundaries is executed twice over the
 //! same tape program — once with the scopes active (interiors dropped
 //! after forward, replayed on backward) and once fully retained. The
@@ -39,6 +40,8 @@ enum Step {
     Tanh,
     Spmm,
     SpmmBiasRelu,
+    MatmulLeakyRelu { pick: usize },
+    PairDot,
     ScopeBegin,
     ScopeEnd,
 }
@@ -65,7 +68,7 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             ops_in_scope = 0;
         }
         let pick = rng.random_range(0..64usize);
-        steps.push(match rng.random_range(0..8u32) {
+        steps.push(match rng.random_range(0..10u32) {
             0 => Step::Matmul { pick },
             1 => Step::Add { pick },
             2 => Step::MulElem { pick },
@@ -73,7 +76,9 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             4 => Step::Sigmoid,
             5 => Step::Tanh,
             6 => Step::Spmm,
-            _ => Step::SpmmBiasRelu,
+            7 => Step::SpmmBiasRelu,
+            8 => Step::MatmulLeakyRelu { pick },
+            _ => Step::PairDot,
         });
         if in_scope {
             ops_in_scope += 1;
@@ -86,13 +91,16 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
 }
 
 /// Fixed inputs derived from the seed: two dense leaves, a CSR
-/// structure with a learnable value row, and a learnable bias row.
+/// structure with a learnable value row, a learnable bias row, and `N`
+/// node pairs for `pair_dot` (one repeated, one a self pair).
 struct Inputs {
     x0: Matrix,
     w: Matrix,
     csr: Rc<Csr>,
     vals: Matrix,
     bias: Matrix,
+    src: Rc<Vec<usize>>,
+    dst: Rc<Vec<usize>>,
 }
 
 fn gen_inputs(seed: u64) -> Inputs {
@@ -120,6 +128,8 @@ fn gen_inputs(seed: u64) -> Inputs {
         csr,
         vals,
         bias,
+        src: Rc::new(vec![0, 2, 2, 3, 5, 1]),
+        dst: Rc::new(vec![1, 4, 4, 3, 0, 5]),
     }
 }
 
@@ -181,6 +191,13 @@ fn run(program: &[Step], inp: &Inputs, ckpt: bool) -> RunOut {
             Step::Tanh => head = tape.tanh(head),
             Step::Spmm => head = tape.spmm(inp.csr.clone(), vals, head),
             Step::SpmmBiasRelu => head = tape.spmm_bias_relu(inp.csr.clone(), vals, head, bias),
+            Step::MatmulLeakyRelu { pick } => head = tape.matmul_leaky_relu(head, arg(pick), 0.2),
+            Step::PairDot => {
+                // the fitness shape: sigmoid of the pair scores, then a
+                // second reader of `head` recorded after the fused op
+                let dots = tape.pair_dot(head, inp.src.clone(), inp.dst.clone());
+                head = tape.mul_col(head, tape.sigmoid(dots));
+            }
         }
         if in_scope {
             scope_vars.push(head);
