@@ -11,9 +11,10 @@
 //! multi-grained models the same way the originals do.
 
 use mg_graph::Topology;
-use mg_tensor::Matrix;
+use mg_tensor::SparseMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashSet;
 
 /// The six graph-classification benchmarks of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -63,8 +64,8 @@ impl GraphDatasetKind {
 #[derive(Clone, Debug)]
 pub struct GraphSample {
     pub graph: Topology,
-    /// One-hot node-label features, `n x feat_dim`.
-    pub features: Matrix,
+    /// One-hot node-label features, `n x feat_dim`, sparse.
+    pub features: SparseMatrix,
     /// Binary class.
     pub label: usize,
 }
@@ -137,6 +138,14 @@ impl GraphGenConfig {
 
 /// Generate the analogue of one of the paper's graph-classification sets.
 pub fn make_graph_dataset(kind: GraphDatasetKind, cfg: &GraphGenConfig) -> GraphDataset {
+    generate(kind, cfg, sample_features)
+}
+
+/// Draws one graph's features: `(marked nodes, n, feat_dim, rng)`.
+type FeatureFn = fn(&HashSet<u32>, usize, usize, &mut StdRng) -> SparseMatrix;
+
+/// [`make_graph_dataset`] with each graph's features drawn by `features`.
+fn generate(kind: GraphDatasetKind, cfg: &GraphGenConfig, features: FeatureFn) -> GraphDataset {
     let (count0, avg_n, avg_m, feat_dim) = kind.paper_stats();
     let count = ((count0 as f64 * cfg.scale) as usize).max(40);
     let avg_n = if cfg.max_nodes > 0 {
@@ -149,7 +158,9 @@ pub fn make_graph_dataset(kind: GraphDatasetKind, cfg: &GraphGenConfig) -> Graph
     let mut samples = Vec::with_capacity(count);
     for g in 0..count {
         let label = g % 2; // balanced classes
-        samples.push(make_sample(avg_n, avg_m, feat_dim, label, &mut rng));
+        samples.push(make_sample(
+            avg_n, avg_m, feat_dim, label, &mut rng, features,
+        ));
     }
     // deterministic shuffle so classes are interleaved randomly
     for i in (1..samples.len()).rev() {
@@ -177,7 +188,7 @@ fn fxhash(s: &str) -> u64 {
 /// sequence that existed before this fix is preserved bit for bit.
 fn top_up_edges(edges: &mut Vec<(u32, u32)>, n: usize, target_m: usize) {
     let norm = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-    let mut seen: std::collections::HashSet<(u32, u32)> = edges
+    let mut seen: HashSet<(u32, u32)> = edges
         .iter()
         .filter(|&&(u, v)| u != v)
         .map(|&(u, v)| norm(u, v))
@@ -211,6 +222,7 @@ fn make_sample(
     feat_dim: usize,
     label: usize,
     rng: &mut StdRng,
+    features: FeatureFn,
 ) -> GraphSample {
     let n = ((avg_n * rng.random_range(0.7..1.3)) as usize).max(8);
     let target_m = ((avg_m / avg_n) * n as f64) as usize;
@@ -270,11 +282,25 @@ fn make_sample(
         }
     }
     let graph = Topology::from_edges(n, &edges);
-    let motif_set: std::collections::HashSet<u32> = motif_members.into_iter().collect();
+    let motif_set: HashSet<u32> = motif_members.into_iter().collect();
+    GraphSample {
+        graph,
+        features: features(&motif_set, n, feat_dim, rng),
+        label,
+    }
+}
+
+/// One-hot atom types, one per node: motif members mostly carry one of
+/// the (at most two) marked types, other nodes mostly a plain one.
+fn sample_features(
+    marked: &HashSet<u32>,
+    n: usize,
+    feat_dim: usize,
+    rng: &mut StdRng,
+) -> SparseMatrix {
     let marked_types = 2.min(feat_dim);
-    let mut features = Matrix::zeros(n, feat_dim);
-    for i in 0..n {
-        let is_member = motif_set.contains(&(i as u32));
+    SparseMatrix::from_row_writes(n, feat_dim, |i, row| {
+        let is_member = marked.contains(&(i as u32));
         let t = if is_member && rng.random::<f64>() < 0.85 {
             // marked atom type (same distribution in both classes)
             rng.random_range(0..marked_types)
@@ -286,13 +312,37 @@ fn make_sample(
         } else {
             rng.random_range(0..feat_dim)
         };
+        row.push((t, 1.0));
+    })
+}
+
+/// The former dense feature generator, kept as the oracle
+/// [`sample_features`] is checked against.
+#[cfg(test)]
+fn dense_sample_features(
+    marked: &HashSet<u32>,
+    n: usize,
+    feat_dim: usize,
+    rng: &mut StdRng,
+) -> mg_tensor::Matrix {
+    let marked_types = 2.min(feat_dim);
+    let mut features = mg_tensor::Matrix::zeros(n, feat_dim);
+    for i in 0..n {
+        let is_member = marked.contains(&(i as u32));
+        let t = if is_member && rng.random::<f64>() < 0.85 {
+            // marked atom type
+            rng.random_range(0..marked_types)
+        } else if !is_member && rng.random::<f64>() < 0.12 {
+            // distractor mark
+            rng.random_range(0..marked_types)
+        } else if feat_dim > marked_types {
+            rng.random_range(marked_types..feat_dim)
+        } else {
+            rng.random_range(0..feat_dim)
+        };
         features[(i, t)] = 1.0;
     }
-    GraphSample {
-        graph,
-        features,
-        label,
-    }
+    features
 }
 
 #[cfg(test)]
@@ -421,7 +471,7 @@ mod tests {
         let ds = tiny(GraphDatasetKind::Mutagenicity);
         for s in &ds.samples {
             for i in 0..s.graph.n() {
-                let sum: f64 = s.features.row(i).iter().sum();
+                let sum: f64 = s.features.row(i).map(|(_, v)| v).sum();
                 assert_eq!(sum, 1.0);
             }
         }
@@ -432,9 +482,7 @@ mod tests {
         // in class 1 the marked nodes are wired into cycles, so marked
         // nodes adjacent to >= 2 other marked nodes are far more common
         let ds = tiny(GraphDatasetKind::Nci1);
-        let marked = |s: &GraphSample, i: usize| {
-            s.features[(i, 0)] > 0.0 || (s.features.cols() > 1 && s.features[(i, 1)] > 0.0)
-        };
+        let marked = |s: &GraphSample, i: usize| s.features.row(i).any(|(t, v)| t < 2 && v > 0.0);
         let ringiness = |s: &GraphSample| {
             let mut hits = 0.0;
             for i in 0..s.graph.n() {
@@ -469,6 +517,41 @@ mod tests {
         let ds = tiny(GraphDatasetKind::Dd);
         for s in ds.samples.iter().take(10) {
             assert_eq!(s.graph.num_components(), 1);
+        }
+    }
+
+    /// Checks one graph's sparse features against the dense oracle, and
+    /// that both leave the random stream in the same state.
+    fn checked_features(
+        marked: &HashSet<u32>,
+        n: usize,
+        feat_dim: usize,
+        rng: &mut StdRng,
+    ) -> SparseMatrix {
+        let mut oracle_rng = rng.clone();
+        let want = dense_sample_features(marked, n, feat_dim, &mut oracle_rng);
+        let got = sample_features(marked, n, feat_dim, rng);
+        assert_eq!(got, SparseMatrix::from(&want));
+        assert_eq!(rng.state(), oracle_rng.state());
+        got
+    }
+
+    #[test]
+    fn features_match_the_dense_oracle() {
+        for seed in [1, 2, 3] {
+            let cfg = GraphGenConfig {
+                scale: 0.02,
+                max_nodes: 40,
+                seed,
+            };
+            for kind in GraphDatasetKind::all() {
+                let checked = generate(kind, &cfg, checked_features);
+                let ds = make_graph_dataset(kind, &cfg);
+                assert_eq!(checked.len(), ds.len());
+                for (a, b) in checked.samples.iter().zip(&ds.samples) {
+                    assert_eq!(a.features, b.features, "{} seed {seed}", kind.name());
+                }
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! ordering is preserved even though absolute accuracies differ.
 
 use mg_graph::Topology;
-use mg_tensor::Matrix;
+use mg_tensor::SparseMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -93,9 +93,10 @@ impl NodeDatasetKind {
 pub struct NodeDataset {
     pub name: String,
     pub graph: Topology,
-    /// Dense `n x d` feature matrix (one-hot degree features when the
-    /// source dataset is featureless).
-    pub features: Matrix,
+    /// Sparse `n x d` feature matrix, the dataset's only copy of its
+    /// features (one-hot degree features when the source dataset is
+    /// featureless).
+    pub features: SparseMatrix,
     pub labels: Vec<usize>,
     pub num_classes: usize,
 }
@@ -146,6 +147,44 @@ impl NodeGenConfig {
 
 /// Generate the analogue of one of the paper's node-task datasets.
 pub fn make_node_dataset(kind: NodeDatasetKind, cfg: &NodeGenConfig) -> NodeDataset {
+    let mut p = plant(kind, cfg);
+    let features = if p.feat_dim == 0 {
+        degree_onehot_features(&p.graph, DEGREE_BUCKETS)
+    } else {
+        bow_features(
+            &p.labels,
+            &p.cell_of,
+            p.classes,
+            p.feat_dim,
+            kind.feature_signal(),
+            &mut p.rng,
+        )
+    };
+    NodeDataset {
+        name: kind.name().to_string(),
+        graph: p.graph,
+        features,
+        labels: p.labels,
+        num_classes: p.classes,
+    }
+}
+
+/// Degree buckets of a featureless dataset's one-hot features.
+const DEGREE_BUCKETS: usize = 32;
+
+/// A node dataset before its features: what they are drawn from, and
+/// the random stream positioned where they are drawn.
+struct Planted {
+    rng: StdRng,
+    labels: Vec<usize>,
+    classes: usize,
+    graph: Topology,
+    cell_of: Vec<usize>,
+    /// `0` for a featureless source dataset.
+    feat_dim: usize,
+}
+
+fn plant(kind: NodeDatasetKind, cfg: &NodeGenConfig) -> Planted {
     let (n0, m0, d0, classes) = kind.paper_stats();
     let n = ((n0 as f64 * cfg.scale) as usize).max(classes * 8);
     let m = ((m0 as f64 * cfg.scale) as usize).max(n);
@@ -160,24 +199,13 @@ pub fn make_node_dataset(kind: NodeDatasetKind, cfg: &NodeGenConfig) -> NodeData
     let labels = balanced_labels(n, classes, &mut rng);
     let (f_cell, f_class) = kind.edge_mix();
     let (graph, cell_of) = planted_partition(n, m, &labels, classes, f_cell, f_class, &mut rng);
-    let features = if feat_dim == 0 {
-        degree_onehot_features(&graph, 32)
-    } else {
-        bow_features(
-            &labels,
-            &cell_of,
-            classes,
-            feat_dim,
-            kind.feature_signal(),
-            &mut rng,
-        )
-    };
-    NodeDataset {
-        name: kind.name().to_string(),
-        graph,
-        features,
+    Planted {
+        rng,
         labels,
-        num_classes: classes,
+        classes,
+        graph,
+        cell_of,
+        feat_dim,
     }
 }
 
@@ -332,7 +360,8 @@ fn planted_partition(
 }
 
 /// Sparse bag-of-words-style features: each class owns a block of topic
-/// dimensions; a node activates mostly its own class's topics.
+/// dimensions; a node activates mostly its own class's topics. Built row
+/// by row, with no dense `n x dim` matrix at any point.
 fn bow_features(
     labels: &[usize],
     cell_of: &[usize],
@@ -340,12 +369,10 @@ fn bow_features(
     dim: usize,
     signal: f64,
     rng: &mut StdRng,
-) -> Matrix {
-    let n = labels.len();
+) -> SparseMatrix {
     let block = (dim / classes).max(1);
     let active = (dim / 30).clamp(3, 20);
-    let mut feats = Matrix::zeros(n, dim);
-    for i in 0..n {
+    SparseMatrix::from_row_writes(labels.len(), dim, |i, row| {
         let c = labels[i];
         let lo = (c * block).min(dim - 1);
         let hi = ((c + 1) * block).min(dim);
@@ -355,30 +382,77 @@ fn bow_features(
             } else {
                 rng.random_range(0..dim)
             };
-            feats[(i, j)] = 1.0;
+            row.push((j, 1.0));
         }
         // cell signature words: neighbours share vocabulary (the
         // feature-borne link-prediction signal of real citation data)
         let sig_base = (cell_of[i].wrapping_mul(2654435761)) % dim;
         for t in 0..4usize {
             if rng.random::<f64>() < 0.9 {
-                feats[(i, (sig_base + t * 7) % dim)] = 1.0;
+                row.push(((sig_base + t * 7) % dim, 1.0));
             }
         }
-    }
-    feats
+    })
 }
 
 /// One-hot degree-bucket features for featureless graphs (Emails), the
 /// standard substitute used by GIN and friends.
-fn degree_onehot_features(g: &Topology, buckets: usize) -> Matrix {
-    let n = g.n();
-    let mut feats = Matrix::zeros(n, buckets);
-    for i in 0..n {
-        let b = g.degree(i).min(buckets - 1);
-        feats[(i, b)] = 1.0;
+fn degree_onehot_features(g: &Topology, buckets: usize) -> SparseMatrix {
+    SparseMatrix::from_row_writes(g.n(), buckets, |i, row| {
+        row.push((g.degree(i).min(buckets - 1), 1.0));
+    })
+}
+
+/// The former dense generators, kept as the oracle the sparse ones are
+/// checked against: same draws, same order, same matrix.
+#[cfg(test)]
+mod dense_oracle {
+    use super::*;
+    use mg_tensor::Matrix;
+
+    pub fn bow_features(
+        labels: &[usize],
+        cell_of: &[usize],
+        classes: usize,
+        dim: usize,
+        signal: f64,
+        rng: &mut StdRng,
+    ) -> Matrix {
+        let n = labels.len();
+        let block = (dim / classes).max(1);
+        let active = (dim / 30).clamp(3, 20);
+        let mut feats = Matrix::zeros(n, dim);
+        for i in 0..n {
+            let c = labels[i];
+            let lo = (c * block).min(dim - 1);
+            let hi = ((c + 1) * block).min(dim);
+            for _ in 0..active {
+                let j = if rng.random::<f64>() < signal && hi > lo {
+                    rng.random_range(lo..hi)
+                } else {
+                    rng.random_range(0..dim)
+                };
+                feats[(i, j)] = 1.0;
+            }
+            let sig_base = (cell_of[i].wrapping_mul(2654435761)) % dim;
+            for t in 0..4usize {
+                if rng.random::<f64>() < 0.9 {
+                    feats[(i, (sig_base + t * 7) % dim)] = 1.0;
+                }
+            }
+        }
+        feats
     }
-    feats
+
+    pub fn degree_onehot_features(g: &Topology, buckets: usize) -> Matrix {
+        let n = g.n();
+        let mut feats = Matrix::zeros(n, buckets);
+        for i in 0..n {
+            let b = g.degree(i).min(buckets - 1);
+            feats[(i, b)] = 1.0;
+        }
+        feats
+    }
 }
 
 #[cfg(test)]
@@ -479,7 +553,7 @@ mod tests {
         let ds = tiny(NodeDatasetKind::Emails);
         // one-hot: every row sums to exactly 1
         for i in 0..ds.n() {
-            let s: f64 = ds.features.row(i).iter().sum();
+            let s: f64 = ds.features.row(i).map(|(_, v)| v).sum();
             assert_eq!(s, 1.0);
         }
     }
@@ -494,8 +568,8 @@ mod tests {
         let mut total = 0.0;
         for i in 0..ds.n() {
             let c = ds.labels[i];
-            for j in 0..dim {
-                if ds.features[(i, j)] > 0.0 {
+            for (j, v) in ds.features.row(i) {
+                if v > 0.0 {
                     total += 1.0;
                     if j >= c * block && j < (c + 1) * block {
                         own += 1.0;
@@ -505,5 +579,76 @@ mod tests {
         }
         // signal for Cora is 0.35 of draws + 1/classes of the uniform rest
         assert!(own / total > 0.3, "own-block fraction = {}", own / total);
+    }
+
+    /// Every kind's sparse features equal the dense oracle's matrix, and
+    /// drawing them leaves the random stream where the oracle leaves it.
+    #[test]
+    fn features_match_the_dense_oracle() {
+        for (seed, cap) in [(1, 512), (2, 0), (3, 64)] {
+            let cfg = NodeGenConfig {
+                scale: 0.1,
+                max_feat_dim: cap,
+                seed,
+            };
+            for kind in NodeDatasetKind::all() {
+                let mut p = plant(kind, &cfg);
+                let mut oracle_rng = p.rng.clone();
+                let (got, want) = if p.feat_dim == 0 {
+                    (
+                        degree_onehot_features(&p.graph, DEGREE_BUCKETS),
+                        dense_oracle::degree_onehot_features(&p.graph, DEGREE_BUCKETS),
+                    )
+                } else {
+                    let signal = kind.feature_signal();
+                    let (labels, cells) = (&p.labels, &p.cell_of);
+                    (
+                        bow_features(labels, cells, p.classes, p.feat_dim, signal, &mut p.rng),
+                        dense_oracle::bow_features(
+                            labels,
+                            cells,
+                            p.classes,
+                            p.feat_dim,
+                            signal,
+                            &mut oracle_rng,
+                        ),
+                    )
+                };
+                let at = format!("{} seed {seed} cap {cap}", kind.name());
+                assert_eq!(got, SparseMatrix::from(&want), "{at}");
+                assert_eq!(p.rng.state(), oracle_rng.state(), "{at}");
+                assert_eq!(make_node_dataset(kind, &cfg).features, got, "{at}");
+            }
+        }
+    }
+
+    /// A gathered row is the oracle's dense row bit for bit, whatever the
+    /// buffer held before.
+    #[test]
+    fn fill_features_rows_equal_the_dense_rows() {
+        use crate::stream::NodeFeatureSource;
+        let cfg = NodeGenConfig {
+            scale: 0.1,
+            max_feat_dim: 64,
+            seed: 5,
+        };
+        for kind in [NodeDatasetKind::Cora, NodeDatasetKind::Emails] {
+            let mut p = plant(kind, &cfg);
+            let dense = if p.feat_dim == 0 {
+                dense_oracle::degree_onehot_features(&p.graph, DEGREE_BUCKETS)
+            } else {
+                let signal = kind.feature_signal();
+                let (labels, cells) = (&p.labels, &p.cell_of);
+                dense_oracle::bow_features(labels, cells, p.classes, p.feat_dim, signal, &mut p.rng)
+            };
+            let ds = make_node_dataset(kind, &cfg);
+            let mut row = vec![f64::NAN; ds.feat_dim()];
+            for i in 0..ds.n() {
+                ds.fill_features(i, &mut row);
+                let got: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = dense.row(i).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{} row {i}", kind.name());
+            }
+        }
     }
 }

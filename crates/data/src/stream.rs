@@ -56,7 +56,10 @@ impl NodeFeatureSource for NodeDataset {
         self.labels[i]
     }
     fn fill_features(&self, i: usize, out: &mut [f64]) {
-        out.copy_from_slice(self.features.row(i));
+        out.fill(0.0);
+        for (c, v) in self.features.row(i) {
+            out[c] = v;
+        }
     }
     fn graph(&self) -> &Topology {
         &self.graph

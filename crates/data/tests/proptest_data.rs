@@ -38,7 +38,7 @@ proptest! {
             prop_assert!(s.label < ds.num_classes);
             // one-hot rows
             for i in 0..s.graph.n() {
-                let sum: f64 = s.features.row(i).iter().sum();
+                let sum: f64 = s.features.row(i).map(|(_, v)| v).sum();
                 prop_assert_eq!(sum, 1.0);
             }
         }

@@ -212,11 +212,11 @@ impl FrozenModel {
     }
 
     fn check_in_dim(&self, ctx: &GraphCtx) -> Result<(), MgError> {
-        if ctx.x().cols() != self.ck.meta.in_dim {
+        if ctx.feat_dim() != self.ck.meta.in_dim {
             return Err(MgError::Mismatch {
                 detail: format!(
                     "features have width {} but the model was built for {}",
-                    ctx.x().cols(),
+                    ctx.feat_dim(),
                     self.ck.meta.in_dim
                 ),
             });

@@ -199,28 +199,7 @@ impl TrainSession {
         };
         let cfg = &self.cfg;
         let input = input.into();
-        let (finite, labelled) = match &input {
-            SessionInput::Node(ds) => (
-                ds.features.all_finite(),
-                ds.labels.iter().all(|&l| l < ds.num_classes),
-            ),
-            SessionInput::Graphs(ds) => (
-                ds.samples.iter().all(|s| s.features.all_finite()),
-                ds.samples.iter().all(|s| s.label < GRAPH_CLASSES),
-            ),
-            SessionInput::Prebuilt { contexts, .. } => (
-                contexts.iter().all(|(c, _)| c.x().all_finite()),
-                contexts.iter().all(|&(_, l)| l < GRAPH_CLASSES),
-            ),
-        };
-        if !finite {
-            let detail = "input features hold a NaN or infinity".into();
-            return Err(MgError::InvalidInput { detail });
-        }
-        if !labelled {
-            let detail = "an input label is not below the number of classes".into();
-            return Err(MgError::InvalidInput { detail });
-        }
+        check_input(&input)?;
         let mut outcome = match (self.kind, input) {
             (SessionKind::NodeClassification(k), SessionInput::Node(ds)) => {
                 node_task(k, ds, FullGraph::classes(ds, cfg)?, cfg, mb, &hooks)?
@@ -258,6 +237,46 @@ impl TrainSession {
         }
         Ok(outcome)
     }
+}
+
+/// What [`TrainSession::run`] checks before it trains: each graph has
+/// one feature row and (node tasks) one label per node, its features
+/// have the input width, every feature is finite, and every label names
+/// a class. Anything else would index out of range or train into a NaN.
+fn check_input(input: &SessionInput<'_>) -> Result<(), MgError> {
+    let (sized, finite, labelled) = match input {
+        SessionInput::Node(ds) => (
+            ds.features.rows() == ds.n() && ds.labels.len() == ds.n(),
+            ds.features.all_finite(),
+            ds.labels.iter().all(|&l| l < ds.num_classes),
+        ),
+        SessionInput::Graphs(ds) => (
+            ds.samples
+                .iter()
+                .all(|s| s.features.rows() == s.graph.n() && s.features.cols() == ds.feat_dim),
+            ds.samples.iter().all(|s| s.features.all_finite()),
+            ds.samples.iter().all(|s| s.label < GRAPH_CLASSES),
+        ),
+        SessionInput::Prebuilt { contexts, feat_dim } => (
+            contexts.iter().all(|(c, _)| c.feat_dim() == *feat_dim),
+            contexts
+                .iter()
+                .all(|(c, _)| c.x_sparse().1.iter().all(|v| v.is_finite())),
+            contexts.iter().all(|&(_, l)| l < GRAPH_CLASSES),
+        ),
+    };
+    let detail = if !sized {
+        "input feature rows, labels or feature width do not match the graph"
+    } else if !finite {
+        "input features hold a NaN or infinity"
+    } else if !labelled {
+        "an input label is not below the number of classes"
+    } else {
+        return Ok(());
+    };
+    Err(MgError::InvalidInput {
+        detail: detail.into(),
+    })
 }
 
 /// Flatten a [`TrainConfig`] into its persisted mirror.
@@ -431,7 +450,10 @@ mod tests {
         };
         // a training node, so every epoch's loss reads its row
         let split = mg_data::Split::random_80_10_10(ds.n(), cfg.seed ^ 0x5eed).unwrap();
-        ds.features[(split.train[0], 0)] = f64::NAN;
+        let mut x = ds.features.to_dense();
+        x[(split.train[0], 0)] = f64::NAN;
+        ds.features = x.into();
+        assert!(!ds.features.all_finite(), "the sparse store keeps the NaN");
         let kind = SessionKind::NodeClassification(NodeModelKind::AdamGnn);
         let full = TrainSession::new(kind, &cfg).run(&ds);
         assert!(
@@ -495,6 +517,75 @@ mod tests {
         for s in &mut graphs.samples {
             s.label = graphs.num_classes;
         }
+        let kind = SessionKind::GraphClassification(GraphModelKind::Gin);
+        let gc = TrainSession::new(kind, &cfg).run(&graphs);
+        assert!(matches!(gc, Err(MgError::InvalidInput { .. })), "{gc:?}");
+    }
+
+    /// A feature matrix or a label vector whose length is not the node
+    /// count is rejected up front by every node trainer (and a graph
+    /// whose feature rows do not match its nodes by graph
+    /// classification), instead of panicking mid-run.
+    #[test]
+    fn mis_sized_inputs_fail_closed() {
+        let ds = mg_data::make_node_dataset(
+            mg_data::NodeDatasetKind::Cora,
+            &mg_data::NodeGenConfig {
+                scale: 0.05,
+                max_feat_dim: 16,
+                seed: 0,
+            },
+        );
+        let cfg = TrainConfig {
+            epochs: 1,
+            hidden: 8,
+            levels: 2,
+            ..Default::default()
+        };
+        let drop_last_row = |x: &mg_tensor::SparseMatrix| -> mg_tensor::SparseMatrix {
+            let x = x.to_dense();
+            mg_tensor::Matrix::from_fn(x.rows() - 1, x.cols(), |i, j| x[(i, j)]).into()
+        };
+        let mut short_features = ds.clone();
+        short_features.features = drop_last_row(&ds.features);
+        let mut short_labels = ds.clone();
+        short_labels.labels.pop();
+        let mb = MinibatchConfig {
+            batch_size: 16,
+            fanouts: vec![4, 4],
+        };
+        let gcn = NodeModelKind::Gcn;
+        let runs = [
+            ("full-batch", SessionKind::NodeClassification(gcn), None),
+            ("sampled", SessionKind::NodeClassification(gcn), Some(&mb)),
+            ("link prediction", SessionKind::LinkPrediction(gcn), None),
+            (
+                "sampled link prediction",
+                SessionKind::LinkPrediction(gcn),
+                Some(&mb),
+            ),
+        ];
+        for (what, bad) in [("features", &short_features), ("labels", &short_labels)] {
+            for (path, kind, mb) in &runs {
+                let mut session = TrainSession::new(*kind, &cfg);
+                if let Some(mb) = mb {
+                    session = session.minibatch((*mb).clone());
+                }
+                let got = session.run(bad);
+                let rejected = matches!(got, Err(MgError::InvalidInput { .. }));
+                assert!(rejected, "{path}, short {what}: {got:?}");
+            }
+        }
+
+        let mut graphs = mg_data::make_graph_dataset(
+            mg_data::GraphDatasetKind::Mutag,
+            &mg_data::GraphGenConfig {
+                scale: 0.02,
+                max_nodes: 20,
+                seed: 0,
+            },
+        );
+        graphs.samples[3].features = drop_last_row(&graphs.samples[3].features);
         let kind = SessionKind::GraphClassification(GraphModelKind::Gin);
         let gc = TrainSession::new(kind, &cfg).run(&graphs);
         assert!(matches!(gc, Err(MgError::InvalidInput { .. })), "{gc:?}");

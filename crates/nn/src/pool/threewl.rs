@@ -121,13 +121,15 @@ impl GraphClassifier for ThreeWlGc {
         // input channels
         let mut channels: Vec<Var> =
             vec![tape.constant(dense_adj(ctx)), tape.constant(Matrix::eye(n))];
-        for f in 0..self.feat_channels {
-            let mut d = Matrix::zeros(n, n);
-            for i in 0..n {
-                d[(i, i)] = ctx.x()[(i, f)];
+        // one diagonal channel per leading feature column
+        let mut diags = vec![Matrix::zeros(n, n); self.feat_channels];
+        let (x_csr, x_vals) = ctx.x_sparse();
+        for (i, f, k) in x_csr.iter() {
+            if let Some(d) = diags.get_mut(f) {
+                d[(i, i)] = x_vals[k];
             }
-            channels.push(tape.constant(d));
         }
+        channels.extend(diags.into_iter().map(|d| tape.constant(d)));
         let in_channels = channels.clone();
         let mut h = self.block1.forward(tape, bind, &channels, n);
         h.extend_from_slice(&in_channels); // skip

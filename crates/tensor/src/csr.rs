@@ -152,45 +152,6 @@ impl Csr {
         }
     }
 
-    /// The pattern of `m`'s entries that are not `±0.0`, with their
-    /// values aligned to it. NaN and ±∞ are stored, so they reach every
-    /// product exactly as in the dense matrix.
-    ///
-    /// `spmm` over the result equals `m.matmul_serial(w)` bitwise for
-    /// finite `w`, and `spmm_t` equals `m.matmul_tn_serial(g)` for
-    /// finite `g`: the skipped terms are all `±0.0` products, and each
-    /// output element adds the rest in the same ascending order (the
-    /// signed-zero argument on `Matrix::matmul_rows`).
-    ///
-    /// # Panics
-    /// Panics if `m` has more than `u32::MAX` columns.
-    pub fn from_dense(m: &Matrix) -> (Csr, Vec<f64>) {
-        assert!(
-            m.cols() <= u32::MAX as usize,
-            "from_dense: too many columns"
-        );
-        let mut indptr = Vec::with_capacity(m.rows() + 1);
-        let (mut indices, mut values) = (Vec::new(), Vec::new());
-        indptr.push(0);
-        for r in 0..m.rows() {
-            for (c, &v) in m.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    indices.push(c as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        let csr = Csr {
-            rows: m.rows(),
-            cols: m.cols(),
-            indptr,
-            indices,
-            tcache: OnceLock::new(),
-        };
-        (csr, values)
-    }
-
     /// The lazily-built transposed pattern (see [`TransposeCache`]).
     fn transpose_cache(&self) -> &TransposeCache {
         self.tcache.get_or_init(|| {
@@ -249,6 +210,13 @@ impl Csr {
     #[inline]
     pub fn indices(&self) -> &[u32] {
         &self.indices
+    }
+
+    /// Bytes of the row pointer and column index arrays. The lazily
+    /// built transpose is derived data and not counted.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.indptr.as_slice())
+            + std::mem::size_of_val(self.indices.as_slice())
     }
 
     /// Column indices of one row.
@@ -542,7 +510,10 @@ impl Csr {
         gv
     }
 
-    /// Materialise as a dense matrix (tests / small graphs only).
+    /// Materialise as a dense matrix: `values` at the stored positions,
+    /// `+0.0` elsewhere. Costs `rows x cols` elements, so it is for tests,
+    /// small graphs, and the models that take node features densely
+    /// (`GraphCtx::x_var`).
     pub fn to_dense(&self, values: &[f64]) -> Matrix {
         assert_eq!(values.len(), self.nnz());
         let mut m = Matrix::zeros(self.rows, self.cols);

@@ -9,6 +9,8 @@
 //! * [`Matrix`] — row-major dense matrix with cache-aware matmuls.
 //! * [`Csr`] — sparsity structure separated from values, so sparse values
 //!   can be learnable tape variables (AdamGNN's `S_k` needs this).
+//! * [`SparseMatrix`] — a `Csr` with its values, the one form node
+//!   features are stored in.
 //! * [`Tape`] / [`Var`] — eager-forward, arena-based autograd with an
 //!   op set tailored to graph neural networks: `spmm`, segment softmax,
 //!   gather/scatter, pairwise BCE decoders and the DEC Student-t KL loss.
@@ -41,6 +43,7 @@ mod matrix;
 mod ops;
 mod optim;
 mod par;
+mod sparse;
 mod tape;
 
 pub use checkpoint::{CheckpointScope, KeepVars};
@@ -50,4 +53,5 @@ pub use gradcheck::{check_gradients, check_gradients_sampled, GradCheckReport};
 pub use matrix::Matrix;
 pub use ops::{sigmoid, softmax_rows, student_t_target};
 pub use optim::{AdamConfig, Binding, ParamId, ParamSnapshot, ParamStore};
+pub use sparse::SparseMatrix;
 pub use tape::{Gradients, Tape, Var};

@@ -201,8 +201,8 @@ impl Matrix {
     /// checked-in golden traces survived the skip's removal untouched.
     /// (Sparse `spmm` kernels differ by design: a stored zero there is
     /// structural — see `csr.rs`. The AdamGNN input product `x·W` runs
-    /// through `spmm` over `Csr::from_dense(x)` and so follows the sparse
-    /// contract: a non-finite weight row reaches only the nodes whose
+    /// through `spmm` over the sparse features (`SparseMatrix`) and so
+    /// follows the sparse contract: a non-finite weight row reaches only the nodes whose
     /// matching feature is non-zero. The trainer's non-finite gradient
     /// check and `ParamStore::import_state` on checkpoint load reject
     /// such a weight instead.)

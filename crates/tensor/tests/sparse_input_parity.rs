@@ -1,8 +1,9 @@
 //! The sparse input product equals the dense one, bitwise.
 //!
 //! A model's first layer computes `X·W` over a feature matrix that is
-//! mostly zeros. Run as `spmm` over `Csr::from_dense(X)`, the product
-//! skips every `x = ±0.0` term, and its backward computes `dW = Xᵀ·g` as
+//! mostly zeros. Run as `spmm` over `SparseMatrix::from(X)`'s pattern,
+//! the product skips every `x = ±0.0` term (a stored `-0.0` is skipped
+//! by the kernels' zero test), and its backward computes `dW = Xᵀ·g` as
 //! `spmm_t`. For finite operands both must equal the dense scalar
 //! kernels to the bit: each skipped term is a `±0.0` product, and every
 //! output element adds the remaining terms in the same ascending order.
@@ -12,7 +13,7 @@
 
 use std::rc::Rc;
 
-use mg_tensor::{Csr, Matrix, Tape};
+use mg_tensor::{Matrix, SparseMatrix, Tape};
 use proptest::prelude::*;
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -69,7 +70,7 @@ fn dense(rows: usize, cols: usize, seed: usize) -> Matrix {
 /// Asserts the forward and dW parity of `x` against `w` (`f x d`) and
 /// upstream `g` (`n x d`) through the kernels and the tape op.
 fn assert_parity(x: &Matrix, w: &Matrix, g: &Matrix) {
-    let (csr, vals) = Csr::from_dense(x);
+    let (csr, vals) = SparseMatrix::from(x).into_parts();
     let want_fwd = bits(&x.matmul_serial(w));
     let want_dw = bits(&x.matmul_tn_serial(g));
     assert_eq!(bits(&csr.spmm_serial(&vals, w)), want_fwd, "spmm_serial");
@@ -121,13 +122,89 @@ fn wide_sparse_input_matches_dense_bitwise_on_split_pools() {
 }
 
 #[test]
-fn from_dense_keeps_exactly_the_nonzeros() {
+fn sparse_keeps_every_entry_but_positive_zero() {
     let x = Matrix::from_vec(2, 4, vec![0.0, 1.5, -0.0, f64::NAN, 0.0, 0.0, 0.0, -2.0]);
-    let (csr, vals) = Csr::from_dense(&x);
+    let s = SparseMatrix::from(&x);
+    assert!(!s.all_finite());
+    let (csr, v) = s.into_parts();
     assert_eq!((csr.rows(), csr.cols()), (2, 4));
-    assert_eq!(csr.indptr(), &[0, 2, 3]);
-    assert_eq!(csr.indices(), &[1, 3, 3]);
-    assert_eq!(vals[0], 1.5);
-    assert!(vals[1].is_nan());
-    assert_eq!(vals[2], -2.0);
+    assert_eq!(csr.indptr(), &[0, 3, 4]);
+    assert_eq!(csr.indices(), &[1, 2, 3, 3]);
+    assert_eq!((v[0], v[3]), (1.5, -2.0));
+    assert_eq!(v[1].to_bits(), (-0.0f64).to_bits());
+    assert!(v[2].is_nan());
+}
+
+/// Values that exercise every bit pattern class `From<Matrix>` must keep:
+/// `±0.0`, NaN, ±∞ and ordinary numbers, zeros most often.
+fn special(code: u8, v: f64) -> f64 {
+    match code {
+        0..=4 => 0.0,
+        5 => -0.0,
+        6 => f64::NAN,
+        7 => f64::INFINITY,
+        8 => f64::NEG_INFINITY,
+        _ => v,
+    }
+}
+
+/// An `r x c` matrix of [`special`] values with row `r / 2` and column
+/// `c / 3` zeroed (when they exist). `r` and `c` may each be 0.
+fn roundtrip_matrix() -> impl Strategy<Value = Matrix> {
+    (0..12usize, 0..12usize).prop_flat_map(|(r, c)| {
+        proptest::collection::vec((0u8..12, -3.0..3.0f64), r * c).prop_map(move |codes| {
+            let mut m = Matrix::from_fn(r, c, |i, j| {
+                let (code, v) = codes[i * c + j];
+                special(code, v)
+            });
+            for i in 0..r {
+                for j in 0..c {
+                    if i == r / 2 || j == c / 3 {
+                        m[(i, j)] = 0.0;
+                    }
+                }
+            }
+            m
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Matrix → SparseMatrix → to_dense` gives back every bit, and the
+    /// sparse form stores exactly the entries that are not `+0.0`.
+    #[test]
+    fn dense_sparse_dense_is_bit_identical(m in roundtrip_matrix()) {
+        let s = SparseMatrix::from(&m);
+        prop_assert_eq!((s.rows(), s.cols()), (m.rows(), m.cols()));
+        prop_assert_eq!(bits(&s.to_dense()), bits(&m));
+        let stored = m.data().iter().filter(|v| v.to_bits() != 0).count();
+        prop_assert_eq!(s.nnz(), stored);
+        prop_assert_eq!(s.all_finite(), m.all_finite());
+        let rows_bits: Vec<u64> = (0..s.rows())
+            .flat_map(|i| {
+                let mut row = vec![0.0; s.cols()];
+                for (c, v) in s.row(i) {
+                    row[c] = v;
+                }
+                row
+            })
+            .map(|v| v.to_bits())
+            .collect();
+        prop_assert_eq!(rows_bits, bits(&m));
+        let word = std::mem::size_of::<usize>();
+        prop_assert_eq!(s.heap_bytes(), word * (m.rows() + 1) + 12 * stored);
+    }
+}
+
+#[test]
+fn empty_shapes_roundtrip() {
+    for (r, c) in [(0, 0), (0, 5), (4, 0)] {
+        let m = Matrix::zeros(r, c);
+        let s = SparseMatrix::from(&m);
+        assert_eq!((s.rows(), s.cols(), s.nnz()), (r, c, 0));
+        assert_eq!(s.to_dense(), m);
+        assert!((0..r).all(|i| s.row(i).next().is_none()));
+    }
 }
