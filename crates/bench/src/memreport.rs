@@ -18,15 +18,33 @@
 //! The node-classification fixture (2-level AdamGNN) must show at least
 //! a 30% peak reduction or the job fails — that floor is what keeps the
 //! checkpoint scopes meaningfully placed as the forward pass evolves.
+//!
+//! A fourth row, `frozen_forward`, measures inference: one eval-mode
+//! node forward on the node-classification fixture's graph, over a
+//! grad-requiring binding with checkpointing off (everything retained)
+//! and over a frozen binding, whose grad-free scopes free their
+//! interiors at close. The two outputs must match bitwise and the frozen
+//! peak must sit at least 30% lower.
 
 use adamgnn_core::with_ckpt_tape;
+use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
+use mg_eval::NodeModelKind;
+use mg_nn::GraphCtx;
 use mg_obs::{validate_trace, Json};
-use mg_verify::{graph_cls_run, link_pred_run, node_cls_run, Compare, Golden};
+use mg_tensor::{Matrix, ParamStore, Tape};
+use mg_verify::{graph_cls_run, link_pred_run, node_cls_run, verify_cfg, Compare, Golden};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Minimum acceptable peak reduction on the node-classification fixture.
 pub const NC_REDUCTION_FLOOR: f64 = 0.30;
 
-/// One task's retained-vs-checkpointed measurement.
+/// Minimum acceptable peak reduction of the frozen forward's scopes.
+pub const FROZEN_REDUCTION_FLOOR: f64 = 0.30;
+
+/// One task's retained-vs-checkpointed measurement. The
+/// `frozen_forward` row measures one forward instead of a training run:
+/// its `epochs` is 0 and its peaks are that forward's.
 #[derive(Clone, Debug)]
 pub struct TaskMem {
     pub task: &'static str,
@@ -35,7 +53,8 @@ pub struct TaskMem {
     pub retained_peak: u64,
     /// max over epochs of `peak_tape_bytes`, checkpointed tape.
     pub checkpointed_peak: u64,
-    /// Whether the two runs' training traces compared bitwise equal.
+    /// Whether the two runs' training traces (the two forwards' outputs,
+    /// for `frozen_forward`) compared bitwise equal.
     pub bitwise_identical: bool,
 }
 
@@ -89,7 +108,9 @@ pub fn run() -> Result<Json, String> {
         None => std::env::remove_var("MG_TRACE"),
     }
     let _ = std::fs::remove_file(&trace_path);
-    let tasks = result?.into_iter().map(|t| {
+    let mut rows = result?;
+    rows.push(frozen_forward_row()?);
+    let tasks = rows.into_iter().map(|t| {
         Json::obj([
             ("task", t.task.into()),
             ("epochs", t.epochs.into()),
@@ -100,6 +121,7 @@ pub fn run() -> Result<Json, String> {
         ])
     });
     Ok(Json::obj([
+        ("frozen_reduction_floor", FROZEN_REDUCTION_FLOOR.into()),
         ("nc_reduction_floor", NC_REDUCTION_FLOOR.into()),
         ("tasks", Json::Arr(tasks.collect())),
     ]))
@@ -156,6 +178,69 @@ fn run_all_traced(trace_path: &str) -> Result<Vec<TaskMem>, String> {
         ));
     }
     Ok(out)
+}
+
+/// Peak tape bytes and output of one eval-mode forward of the
+/// node-classification fixture's model (untrained: the tape's shape does
+/// not depend on the weights), over a frozen or a grad-requiring binding.
+fn node_forward(frozen: bool) -> (u64, Matrix) {
+    let ds = make_node_dataset(
+        NodeDatasetKind::Cora,
+        &NodeGenConfig {
+            scale: 0.05,
+            max_feat_dim: 32,
+            seed: 11,
+        },
+    );
+    let cfg = verify_cfg(1, 1);
+    let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
+    let mut store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let model = NodeModelKind::AdamGnn.build(
+        &mut store,
+        ctx.feat_dim(),
+        cfg.hidden,
+        ds.num_classes,
+        &cfg,
+        &mut rng,
+    );
+    let tape = Tape::new();
+    let bind = match frozen {
+        true => store.bind_frozen(&tape),
+        false => store.bind(&tape),
+    };
+    let out = with_ckpt_tape(false, || {
+        model.forward_frozen(&tape, &bind, &ctx, None, &mut rng)
+    });
+    (tape.peak_tape_bytes() as u64, tape.value_cloned(out))
+}
+
+/// The `frozen_forward` row: fails if the outputs differ in any bit or
+/// the reduction misses [`FROZEN_REDUCTION_FLOOR`].
+fn frozen_forward_row() -> Result<TaskMem, String> {
+    let (retained_peak, retained) = node_forward(false);
+    let (scoped_peak, scoped) = node_forward(true);
+    let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    if scoped.shape() != retained.shape() || bits(&scoped) != bits(&retained) {
+        return Err("frozen_forward: scoped output differs from the retaining tape".into());
+    }
+    let row = TaskMem {
+        task: "frozen_forward",
+        epochs: 0,
+        retained_peak,
+        checkpointed_peak: scoped_peak,
+        bitwise_identical: true,
+    };
+    if row.reduction() < FROZEN_REDUCTION_FLOOR {
+        return Err(format!(
+            "frozen_forward peak reduction {:.1}% is below the {:.0}% floor ({} -> {} bytes)",
+            row.reduction() * 100.0,
+            FROZEN_REDUCTION_FLOOR * 100.0,
+            retained_peak,
+            scoped_peak
+        ));
+    }
+    Ok(row)
 }
 
 #[cfg(test)]

@@ -232,8 +232,10 @@ impl AdamGnn {
         // Recompute-on-backward for the big forward blocks. Every scope
         // closes before any early stop, so no abort paths are needed;
         // checkpointing never changes the values or gradients, only when
-        // interior buffers are resident (see crate::overrides).
-        let ckpt = crate::overrides::ckpt_tape();
+        // interior buffers are resident (see crate::overrides). A frozen
+        // binding always scopes: its grad-free scopes free their
+        // interiors at close and never replay (see mg_tensor::checkpoint).
+        let ckpt = crate::overrides::ckpt_tape() || !bind.requires_grad(tape);
         // ---- primary node representation (Eq. 1) ----
         let mut h0 = self.gcn0.forward_features(tape, bind, ctx);
         if train && self.cfg.dropout > 0.0 {
@@ -290,7 +292,7 @@ impl AdamGnn {
         let (h, beta) = if self.cfg.flyback && !unpooled.is_empty() {
             let fly_scope = ckpt.then(|| tape.begin_checkpoint());
             // W applies to the *message* side only, per Eq. 4
-            let rhs = tape.matmul(tape.leaky_relu(h0, ATT_SLOPE), bind.var(self.fly.a_rhs));
+            let rhs = tape.leaky_relu_matmul(h0, bind.var(self.fly.a_rhs), ATT_SLOPE);
             let mut scores = Vec::with_capacity(unpooled.len());
             for &up in &unpooled {
                 let lhs = tape.matmul_leaky_relu(up, bind.var(self.fly.w), ATT_SLOPE);

@@ -1,13 +1,14 @@
 //! The tape-checkpointing switch: recompute-on-backward, set per thread.
 //!
 //! [`with_ckpt_tape`] is its one setter; `AdamGnn::forward_inner` reads
-//! it on every pass. Checkpointing changes *when* forward values are
-//! resident, never what they are: gradients are bitwise identical either
-//! way (enforced by the replay fingerprint check in mg-tensor and the
-//! differential suites). A thread-local, not an env var, so tests and
-//! the memory-report bench compare both modes in one process without
-//! touching the environment (env mutation is racy under the parallel
-//! test runner).
+//! it on every pass. Forwards over a frozen binding scope regardless:
+//! they never reach a backward pass, so their scopes only free memory.
+//! Checkpointing changes *when* forward values are resident, never what
+//! they are: gradients are bitwise identical either way (enforced by the
+//! replay fingerprint check in mg-tensor and the differential suites).
+//! A thread-local, not an env var, so tests and the memory-report bench
+//! compare both modes in one process without touching the environment
+//! (env mutation is racy under the parallel test runner).
 
 use std::cell::Cell;
 

@@ -127,10 +127,11 @@ pub struct PoolLevelOutput {
 /// * When `frozen` is `Some`, pin every discrete/detached piece to it:
 ///   reuse its egos instead of re-selecting, its `norm`/`next_topo`
 ///   instead of re-coarsening. Differentiable pieces must recompute.
-/// * When `ckpt` is true, wrap the big forward blocks in tape checkpoint
-///   scopes; any value read across a scope boundary must be in the keep
-///   list, and host-side reads of detached scores must happen before the
-///   scope ends.
+/// * When `ckpt` is true (a checkpointed training tape, or any forward
+///   over a frozen binding), wrap the big forward blocks in tape
+///   checkpoint scopes; any value read across a scope boundary must be
+///   in the keep list, and host-side reads of detached scores must
+///   happen before the scope ends.
 pub trait Pooling {
     /// Which [`PoolingKind`] this operator implements.
     fn kind(&self) -> PoolingKind;
@@ -292,10 +293,7 @@ impl AdamGnnPooling {
         let scaled = tape.mul_col(h_mem, phi_sel);
         let u = tape.matmul_leaky_relu(scaled, bind.var(self.init_att.w), ATT_SLOPE);
         let s_lhs = tape.matmul(u, bind.var(self.init_att.a_lhs));
-        let rhs_nodes = tape.matmul(
-            tape.leaky_relu(h_prev, ATT_SLOPE),
-            bind.var(self.init_att.a_rhs),
-        );
+        let rhs_nodes = tape.leaky_relu_matmul(h_prev, bind.var(self.init_att.a_rhs), ATT_SLOPE);
         let s_rhs = tape.gather_rows(rhs_nodes, ego_nodes);
         let e = tape.add(s_lhs, s_rhs);
         let alpha = tape.segment_softmax(e, ego_cols.clone(), m);
@@ -497,10 +495,7 @@ impl Pooling for AsapPooling {
         let h_mem = tape.gather_rows(state.h_prev, members.clone());
         let u = tape.matmul_leaky_relu(h_mem, bind.var(self.att.w), ATT_SLOPE);
         let e_lhs = tape.matmul(u, bind.var(self.att.a_lhs));
-        let rhs_nodes = tape.matmul(
-            tape.leaky_relu(state.h_prev, ATT_SLOPE),
-            bind.var(self.att.a_rhs),
-        );
+        let rhs_nodes = tape.leaky_relu_matmul(state.h_prev, bind.var(self.att.a_rhs), ATT_SLOPE);
         let e_rhs = tape.gather_rows(rhs_nodes, centers.clone());
         let e = tape.add(e_lhs, e_rhs);
         let alpha = tape.segment_softmax(e, centers.clone(), n_prev);

@@ -75,7 +75,7 @@ impl Graphs<'_> {
                 let tape = Tape::new();
                 let out = self
                     .model
-                    .forward(&tape, &store.bind(&tape), ctx, false, rng);
+                    .forward(&tape, &store.bind_frozen(&tape), ctx, false, rng);
                 let hit = tape.value(out.logits).row_argmax(0) == *label;
                 hit
             })

@@ -2,7 +2,13 @@
 //! describes, and serve predictions without touching an optimizer.
 //!
 //! A [`FrozenModel`] binds parameters with `requires_grad = false`, so
-//! forward passes allocate no gradients and no Adam state. For AdamGNN
+//! forward passes allocate no gradients and no Adam state. Such a
+//! forward can never reach a backward pass, so AdamGNN opens its
+//! checkpoint scopes on it and each scope frees its interior values as
+//! it closes (no replay segment, no fingerprint). What stays resident
+//! on the tape is the parameters and inputs, the primary and per-level
+//! representations, `h`, `β`, the `S_k` values and the logits, plus at
+//! most one scope's interior while it is open. For AdamGNN
 //! node models whose checkpoint pinned a [`FrozenStructure`], inference
 //! on the training graph replays the exact pooling hierarchy the final
 //! model induced; on other graphs (or without a pinned structure) the
@@ -228,9 +234,14 @@ impl FrozenModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph_tasks::build_contexts;
+    use crate::models::AnyNodeModel;
     use crate::session::{SessionKind, TrainSession};
     use crate::TrainConfig;
-    use mg_data::{make_node_dataset, NodeDatasetKind, NodeGenConfig};
+    use mg_data::{
+        make_graph_dataset, make_node_dataset, GraphDatasetKind, GraphGenConfig, NodeDatasetKind,
+        NodeGenConfig,
+    };
 
     fn trained_checkpoint(dir: &std::path::Path, kind: NodeModelKind) -> std::path::PathBuf {
         let ds = make_node_dataset(
@@ -353,6 +364,162 @@ mod tests {
                 Err(other) => panic!("non-finite weight must be InvalidInput, got {other}"),
                 Ok(_) => panic!("non-finite weight {bad} must not load"),
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The retaining-tape references of the frozen entry points: the
+    /// same forwards over a grad-requiring binding, which opens no
+    /// checkpoint scope, so every value stays on the tape.
+    impl FrozenModel {
+        fn retained_node_outputs(&self, ctx: &GraphCtx) -> Matrix {
+            let FrozenInner::Node(model) = &self.inner else {
+                panic!("node checkpoint expected")
+            };
+            let structure =
+                (self.ck.structure.as_ref()).filter(|_| ctx.graph.n() == self.ck.meta.n_nodes);
+            let tape = Tape::new();
+            let bind = self.store.bind(&tape);
+            let mut rng = StdRng::seed_from_u64(0);
+            let out = model.forward_frozen(&tape, &bind, ctx, structure, &mut rng);
+            tape.value_cloned(out)
+        }
+
+        fn graph_logits(&self, ctx: &GraphCtx, frozen: bool) -> Matrix {
+            let FrozenInner::Graph(model) = &self.inner else {
+                panic!("graph checkpoint expected")
+            };
+            let tape = Tape::new();
+            let bind = match frozen {
+                true => self.store.bind_frozen(&tape),
+                false => self.store.bind(&tape),
+            };
+            let out = model.forward(&tape, &bind, ctx, false, &mut StdRng::seed_from_u64(0));
+            tape.value_cloned(out.logits)
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `record_structure` against the same recording on a retaining tape.
+    fn assert_same_structure(got: &FrozenStructure, want: &FrozenStructure, what: &str) {
+        assert_eq!(got.levels.len(), want.levels.len(), "{what}: levels");
+        for (g, w) in got.levels.iter().zip(&want.levels) {
+            assert_eq!(g.egos, w.egos, "{what}: egos");
+            assert_eq!(g.norm.csr, w.norm.csr, "{what}: Â_k pattern");
+            assert_eq!(
+                bits(&g.norm.values),
+                bits(&w.norm.values),
+                "{what}: Â_k values"
+            );
+            assert_eq!(
+                g.next_topo.adj(),
+                w.next_topo.adj(),
+                "{what}: next topology"
+            );
+        }
+    }
+
+    fn one_epoch(pooling: adamgnn_core::PoolingKind) -> TrainConfig {
+        TrainConfig {
+            epochs: 1,
+            hidden: 8,
+            levels: 2,
+            patience: 1,
+            pooling,
+            ..Default::default()
+        }
+    }
+
+    /// Every frozen entry point, for every model and pooling operator,
+    /// with and without a pinned structure, answers bitwise what the same
+    /// forward on a retaining tape computes: frozen forwards free each
+    /// scope's interiors at close, so this is what shows no caller reads
+    /// a dropped value.
+    #[test]
+    fn frozen_entry_points_match_a_retaining_tape() {
+        let dir = std::env::temp_dir().join("mg_infer_test_frozen_paths");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ds = make_node_dataset(
+            NodeDatasetKind::Cora,
+            &NodeGenConfig {
+                scale: 0.06,
+                max_feat_dim: 16,
+                seed: 5,
+            },
+        );
+        let ctx = GraphCtx::new(ds.graph.clone(), ds.features.clone());
+        let pairs: Vec<(usize, usize)> = (0..12).map(|i| (i, (i * 7 + 3) % ds.n())).collect();
+        let node_runs = (NodeModelKind::all().into_iter())
+            .filter(|&k| k != NodeModelKind::AdamGnn)
+            .map(|k| (k, adamgnn_core::PoolingKind::AdamGnn))
+            .chain(adamgnn_core::PoolingKind::ALL.map(|p| (NodeModelKind::AdamGnn, p)));
+        for (kind, pooling) in node_runs {
+            let path = dir.join(format!("{}-{}.mgck", kind.name(), pooling.name()));
+            TrainSession::new(SessionKind::NodeClassification(kind), &one_epoch(pooling))
+                .checkpoint_to(&path)
+                .run(&ds)
+                .unwrap();
+            let pinned = FrozenModel::load(&path).unwrap();
+            let mut ck = Checkpoint::load(&path).unwrap();
+            assert_eq!(ck.structure.is_some(), kind == NodeModelKind::AdamGnn);
+            ck.structure = None;
+            let derived = FrozenModel::from_checkpoint(ck).unwrap();
+            for (fm, how) in [(&pinned, "pinned"), (&derived, "derived")] {
+                let what = format!("{} / {} / {how}", kind.name(), pooling.name());
+                let want = fm.retained_node_outputs(&ctx);
+                let got = fm.node_outputs(&ctx).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{what}");
+                assert_eq!(bits(got.data()), bits(want.data()), "{what}: node_outputs");
+                let ids: Vec<usize> = (0..ds.n()).collect();
+                let labels = FrozenModel::labels_from(&want, &ids).unwrap();
+                assert_eq!(fm.predict_labels(&ctx).unwrap(), labels, "{what}");
+                let scores = FrozenModel::link_scores_from(&want, &pairs).unwrap();
+                let got = fm.score_links(&ctx, &pairs).unwrap();
+                assert_eq!(bits(&got), bits(&scores), "{what}: score_links");
+            }
+            if let FrozenInner::Node(model @ AnyNodeModel::Adam(m)) = &pinned.inner {
+                let what = format!("record_structure / {}", pooling.name());
+                let got = model.record_structure(&pinned.store, &ctx).unwrap();
+                let tape = Tape::new();
+                let (_, _, want) = m.forward_full_recorded(&tape, &pinned.store.bind(&tape), &ctx);
+                assert_same_structure(&got, &want, &what);
+                assert_same_structure(&got, pinned.structure().unwrap(), &what);
+            }
+        }
+
+        let gds = make_graph_dataset(
+            GraphDatasetKind::Mutagenicity,
+            &GraphGenConfig {
+                scale: 0.02,
+                max_nodes: 20,
+                seed: 2,
+            },
+        );
+        let contexts: Vec<GraphCtx> = (build_contexts(&gds).into_iter().take(6))
+            .map(|(c, _)| c)
+            .collect();
+        let graph_runs = (GraphModelKind::all().into_iter())
+            .filter(|&k| k != GraphModelKind::AdamGnn)
+            .map(|k| (k, adamgnn_core::PoolingKind::AdamGnn))
+            .chain(adamgnn_core::PoolingKind::ALL.map(|p| (GraphModelKind::AdamGnn, p)));
+        for (kind, pooling) in graph_runs {
+            let what = format!("{} / {}", kind.name(), pooling.name());
+            let path = dir.join(format!("gc-{}-{}.mgck", kind.name(), pooling.name()));
+            TrainSession::new(SessionKind::GraphClassification(kind), &one_epoch(pooling))
+                .checkpoint_to(&path)
+                .run(&gds)
+                .unwrap();
+            let fm = FrozenModel::load(&path).unwrap();
+            let mut want = Vec::new();
+            for ctx in &contexts {
+                let (got, retained) = (fm.graph_logits(ctx, true), fm.graph_logits(ctx, false));
+                assert_eq!(bits(got.data()), bits(retained.data()), "{what}: logits");
+                want.push(retained.row_argmax(0));
+            }
+            assert_eq!(fm.classify_graphs(&contexts).unwrap(), want, "{what}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -175,7 +175,7 @@ impl FullGraph {
 
     fn forward(&mut self, model: &AnyNodeModel, store: &ParamStore, rng: &mut StdRng) {
         let tape = Tape::new();
-        let (out, _) = model.forward(&tape, &store.bind(&tape), &self.ctx, false, rng);
+        let (out, _) = model.forward(&tape, &store.bind_frozen(&tape), &self.ctx, false, rng);
         self.out = tape.value_cloned(out);
     }
 

@@ -5,6 +5,11 @@
 //! serving [`GraphCtx`]. The frozen outputs depend only on the graph and
 //! the trained parameters, so [`ModelService::new`] computes them once
 //! and keeps the matrix as the table every request is answered from.
+//! That load-time forward runs on a frozen binding, so its tape frees
+//! each checkpoint scope's interiors as the scope closes and peaks at
+//! the kept values (parameters, per-level outputs, `h`, `β`, logits)
+//! plus one scope; the tape itself is dropped once the table is copied
+//! out, leaving only the `n x out_dim` table resident.
 //! [`gather`] is the one answer path: the server's connection workers
 //! call it on the table they share, and [`ModelService::handle_one`]
 //! calls it on its own. Because the table does not depend on any request

@@ -15,7 +15,7 @@
 use crate::checkpoint::segment_containing;
 use crate::error::MgError;
 use crate::matrix::Matrix;
-use crate::ops::{sigmoid, softmax_rows, KlStats};
+use crate::ops::{leaky_relu, sigmoid, softmax_rows, KlStats};
 use crate::tape::{Gradients, Op, Tape, Var};
 
 impl Tape {
@@ -149,6 +149,20 @@ impl Tape {
                     }
                     if nodes[b.0].requires_grad {
                         acc!(*b, nodes[a.0].val().matmul_tn(&gz));
+                    }
+                }
+                Op::LeakyReluMatMul { a, b, slope } => {
+                    // The unfused sweep's order: MatMul's backward (the
+                    // `b` side, then the activation's gradient), then
+                    // LeakyRelu's mask on it; the activation is rebuilt
+                    // from `a` (see `Tape::leaky_relu_matmul`).
+                    let (s, av) = (*slope, nodes[a.0].val());
+                    if nodes[b.0].requires_grad {
+                        acc!(*b, leaky_relu(av, s).matmul_tn(&g));
+                    }
+                    if nodes[a.0].requires_grad {
+                        let gact = g.matmul_nt(nodes[b.0].val());
+                        acc!(*a, gact.zip(av, |gx, x| if x > 0.0 { gx } else { s * gx }));
                     }
                 }
                 Op::Transpose(a) => {

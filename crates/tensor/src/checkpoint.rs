@@ -24,6 +24,19 @@
 //! and re-checked after replay; a mismatch surfaces as a typed
 //! [`MgError::Corrupt`] instead of silently wrong gradients.
 //!
+//! ## Grad-free scopes are freed, not segmented
+//!
+//! A scope that recorded no node requiring grad — every scope of a
+//! forward over a `bind_frozen` binding — drops its interiors the same
+//! way, but computes no fingerprints and records no [`Segment`]. No
+//! backward rule can ever read those values: the sweep skips nodes that
+//! do not require grad, the keep contract means nothing recorded after
+//! the scope reads an interior, and with no grad-requiring node inside
+//! there is no backward step that would ask for a replay. Such a scope
+//! therefore never replays, and a read of one of its interiors panics
+//! like any other dropped value. This is what keeps a frozen forward's
+//! tape down to its kept values plus one scope's interior.
+//!
 //! ## Memory model
 //!
 //! Peak tape memory with checkpointing is roughly: retained values
@@ -130,7 +143,8 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<Var>) {
         | Op::MulElem(a, b)
         | Op::AddBias(a, b)
         | Op::MatMul(a, b)
-        | Op::MatMulLeakyRelu { a, b, .. } => {
+        | Op::MatMulLeakyRelu { a, b, .. }
+        | Op::LeakyReluMatMul { a, b, .. } => {
             out.push(*a);
             out.push(*b);
         }
@@ -199,7 +213,9 @@ impl Tape {
     /// recorded inside the scope that are neither leaves nor listed in
     /// `keep`. Leaves are never dropped: they are the replay inputs that
     /// cannot be recomputed. A scope with nothing to drop records no
-    /// segment.
+    /// segment, and neither does a grad-free one (no node inside requires
+    /// grad): backward never visits its nodes, so nothing can ask for a
+    /// replay and its interiors are simply freed (see the module docs).
     pub fn end_checkpoint(&self, scope: CheckpointScope, keep: &[Var]) {
         assert_eq!(
             self.open_scope.get(),
@@ -216,6 +232,7 @@ impl Tape {
                 kept[v.0 - start] = true;
             }
         }
+        let replayable = nodes[start..end].iter().any(|n| n.requires_grad);
         let mut dropped = Vec::new();
         let mut prints = Vec::new();
         let mut freed = 0usize;
@@ -228,8 +245,10 @@ impl Tape {
                 .take()
                 .expect("open-scope values are always materialised");
             freed += bytes_of(&value);
-            prints.push(fingerprint(&value));
-            dropped.push(i);
+            if replayable {
+                prints.push(fingerprint(&value));
+                dropped.push(i);
+            }
         }
         drop(nodes);
         self.sub_live_bytes(freed);
@@ -389,6 +408,97 @@ mod tests {
         let b = tape.relu(a);
         tape.end_checkpoint(scope, &[b]);
         assert!(tape.segments.borrow().is_empty());
+    }
+
+    /// A scope over constants only: `(tape, interior, kept)`, closed.
+    fn grad_free_scope() -> (Tape, Var, Var) {
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, -3.0]));
+        let scope = tape.begin_checkpoint();
+        let b = tape.tanh(x);
+        let c = tape.scale(b, 2.0);
+        tape.end_checkpoint(scope, &[c]);
+        (tape, b, c)
+    }
+
+    #[test]
+    fn grad_free_scope_frees_interiors_without_a_segment() {
+        let (tape, b, c) = grad_free_scope();
+        assert!(tape.segments.borrow().is_empty(), "nothing can replay it");
+        assert!(!tape.is_materialized(b));
+        assert!(tape.is_materialized(c));
+        // the leaf and the kept output stay; the interior's bytes are gone
+        assert_eq!(tape.live_tape_bytes(), 2 * 4 * 8);
+        assert_eq!(tape.peak_tape_bytes(), 3 * 4 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped by a checkpoint scope")]
+    fn grad_free_interior_read_panics() {
+        let (tape, b, _) = grad_free_scope();
+        let _ = tape.value(b);
+    }
+
+    /// A grad-free scope (constants only) followed by a grad-requiring
+    /// one, scoped or retained: `(tape, loss, w, free interior, rg interior)`.
+    fn mixed_scopes(ckpt: bool) -> (Tape, Var, Var, Var, Var) {
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.7, 2.0, -0.4, 1.1]));
+        let w = tape.leaf(
+            Matrix::from_vec(3, 2, vec![0.2, -0.5, 1.3, 0.4, -0.9, 0.6]),
+            true,
+        );
+        let free = ckpt.then(|| tape.begin_checkpoint());
+        let t = tape.tanh(x);
+        let c = tape.sigmoid(tape.scale(t, 1.5));
+        if let Some(scope) = free {
+            tape.end_checkpoint(scope, &[c]);
+        }
+        let rg = ckpt.then(|| tape.begin_checkpoint());
+        let p = tape.matmul(c, w);
+        let q = tape.tanh(p);
+        let r = tape.mul_elem(q, q);
+        if let Some(scope) = rg {
+            tape.end_checkpoint(scope, &[r]);
+        }
+        let loss = tape.sum_all(r);
+        (tape, loss, w, t, p)
+    }
+
+    #[test]
+    fn mixed_scopes_replay_only_the_grad_segment() {
+        let (retained, loss, w, _, _) = mixed_scopes(false);
+        let want = retained.backward(loss).get(w).unwrap().clone();
+        let (tape, loss, w, t, p) = mixed_scopes(true);
+        {
+            let segs = tape.segments.borrow();
+            assert_eq!(segs.len(), 1, "only the grad-requiring scope is a segment");
+            assert!((segs[0].start..segs[0].end).contains(&p.0));
+        }
+        // corrupting the grad-free interior's replay changes nothing:
+        // that interior is never replayed
+        tape.corrupt_next_replay(t);
+        let grads = tape
+            .try_backward(loss)
+            .expect("grad-free scope never replays");
+        let got = grads.get(w).unwrap();
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(got),
+            bits(&want),
+            "gradients bitwise equal to retaining"
+        );
+        assert!(
+            !tape.is_materialized(t),
+            "backward left the free interior dropped"
+        );
+        // while the grad-requiring segment does replay, fingerprint-checked
+        let (tape, loss, _, _, p) = mixed_scopes(true);
+        tape.corrupt_next_replay(p);
+        assert!(matches!(
+            tape.try_backward(loss),
+            Err(MgError::Corrupt { .. })
+        ));
     }
 
     #[test]

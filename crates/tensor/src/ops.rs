@@ -78,6 +78,19 @@ impl Tape {
         self.record(Op::MatMulLeakyRelu { a, b, slope }, self.rg2(a, b))
     }
 
+    /// Fused `leaky_relu(a, slope) * b`, the mirror of
+    /// [`Tape::matmul_leaky_relu`]: the activation applies the same
+    /// per-element expression and the product goes through the same
+    /// [`Matrix::matmul`] dispatch as the unfused
+    /// `matmul(leaky_relu(a, slope), b)` chain, and the backward runs the
+    /// same gradient kernels in the same order, so fusing is bitwise
+    /// invisible. Only the product stays on the tape; the activated `a`
+    /// (for an attention's one-column projection, `d` times larger) is
+    /// rebuilt wherever it is read.
+    pub fn leaky_relu_matmul(&self, a: Var, b: Var, slope: f64) -> Var {
+        self.record(Op::LeakyReluMatMul { a, b, slope }, self.rg2(a, b))
+    }
+
     /// Materialised transpose.
     pub fn transpose(&self, a: Var) -> Var {
         self.record(Op::Transpose(a), self.rg(a))
@@ -451,12 +464,10 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
             }
             out
         }
+        Op::LeakyReluMatMul { a, b, slope } => leaky_relu(v(*a), *slope).matmul(v(*b)),
         Op::Transpose(a) => v(*a).transpose(),
         Op::Relu(a) => v(*a).map(|x| x.max(0.0)),
-        Op::LeakyRelu(a, slope) => {
-            let s = *slope;
-            v(*a).map(|x| if x > 0.0 { x } else { s * x })
-        }
+        Op::LeakyRelu(a, slope) => leaky_relu(v(*a), *slope),
         Op::Sigmoid(a) => v(*a).map(sigmoid),
         Op::Tanh(a) => v(*a).map(f64::tanh),
         Op::SoftmaxRows(a) => softmax_rows(v(*a)),
@@ -722,6 +733,11 @@ pub(crate) fn student_t_kernel(h: &Matrix, egos: &[usize]) -> Matrix {
         }
         t
     })
+}
+
+/// Elementwise leaky ReLU: `x` where `x > 0`, else `slope * x`.
+pub(crate) fn leaky_relu(m: &Matrix, slope: f64) -> Matrix {
+    m.map(|x| if x > 0.0 { x } else { slope * x })
 }
 
 /// Logistic sigmoid with clamping against overflow.

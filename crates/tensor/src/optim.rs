@@ -91,6 +91,13 @@ impl Binding {
         self.vars[id.0]
     }
 
+    /// Whether any bound parameter requires grad: false for a
+    /// [`ParamStore::bind_frozen`] binding, whose forwards can never
+    /// reach a backward pass over the parameters.
+    pub fn requires_grad(&self, tape: &Tape) -> bool {
+        self.vars.iter().any(|&v| tape.requires_grad(v))
+    }
+
     /// Build a binding from externally created leaf variables, one per
     /// parameter in store-registration order.
     ///

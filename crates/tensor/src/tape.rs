@@ -14,7 +14,8 @@
 //!   mutability headaches and lets callers run several backward passes.
 //! * Node values are `Option<Matrix>`: a closed checkpoint scope (see
 //!   [`crate::checkpoint`]) drops interior buffers after forward and
-//!   `backward` re-materialises them by replaying the recorded ops. The
+//!   `backward` re-materialises them by replaying the recorded ops (a
+//!   grad-free scope's are never needed again, so never replayed). The
 //!   shape is retained separately so shape-only queries never force a
 //!   replay.
 
@@ -93,6 +94,14 @@ pub(crate) enum Op {
     /// activation as one node. The backward needs no cached product: for
     /// `slope >= 0`, `out > 0` holds exactly where the product was `> 0`.
     MatMulLeakyRelu {
+        a: Var,
+        b: Var,
+        slope: f64,
+    },
+    /// Fused `leaky_relu(a, slope) * b` — an attention's activation and
+    /// its projection as one node. The activated copy of `a` is never
+    /// stored: the forward and the backward each rebuild it from `a`.
+    LeakyReluMatMul {
         a: Var,
         b: Var,
         slope: f64,

@@ -284,6 +284,24 @@ fn grad_matmul_leaky_relu() {
     assert!(rep.ok(TOL), "{rep:?}");
 }
 
+/// Fused `leaky_relu(a) * b` — both operands get gradients through the
+/// single node, with `a` on both sides of the kink.
+#[test]
+fn grad_leaky_relu_matmul() {
+    let (a, b) = (rand_m(4, 3, 102), rand_m(3, 2, 103));
+    // Central differences are only valid away from the kink at zero.
+    assert!(
+        a.data().iter().all(|v| v.abs() > 100.0 * EPS),
+        "input too close to the LeakyReLU kink for a reliable gradcheck"
+    );
+    assert!(a.data().iter().any(|&v| v < 0.0) && a.data().iter().any(|&v| v > 0.0));
+    let rep = check_gradients(&[a, b], EPS, |t, v| {
+        let y = t.leaky_relu_matmul(v[0], v[1], 0.2);
+        project(t, y, 104)
+    });
+    assert!(rep.ok(TOL), "{rep:?}");
+}
+
 #[test]
 fn grad_mul_col() {
     let rep = check_gradients(&[rand_m(4, 3, 47), rand_m(4, 1, 48)], EPS, |t, v| {

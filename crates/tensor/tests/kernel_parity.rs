@@ -17,8 +17,9 @@
 //!    must be *bitwise* equal to the unfused spmm → add_bias → relu
 //!    chain, forward and backward — that is what keeps the golden traces
 //!    byte-identical when the GCN layer takes the fused path. The same
-//!    holds for the fused `pair_dot` and `matmul_leaky_relu` tape ops
-//!    against the chains they replace in the attentions.
+//!    holds for the fused `pair_dot`, `matmul_leaky_relu` and
+//!    `leaky_relu_matmul` tape ops against the chains they replace in the
+//!    attentions.
 
 use std::rc::Rc;
 
@@ -415,6 +416,52 @@ fn fused_matmul_leaky_relu_bitwise_matches_unfused_chain() {
     // Zero, negative and positive pre-activations all present.
     assert!(fo.row(2).iter().all(|&v| v == 0.0));
     assert!(fo.data().iter().any(|&v| v < 0.0) && fo.data().iter().any(|&v| v > 0.0));
+}
+
+/// `leaky_relu_matmul` against `matmul(leaky_relu(a), b)`, in the
+/// attentions' shape: a one-column projection. Row 1 of `a` is zero, the
+/// other rows give both signs, and `a` and `b` are read again by
+/// consumers recorded before and after the fused op, so the order in
+/// which contributions land in their shared gradient buffers is checked.
+#[test]
+fn fused_leaky_relu_matmul_bitwise_matches_unfused_chain() {
+    let am = Matrix::from_fn(6, 4, |i, j| {
+        if i == 1 {
+            0.0
+        } else {
+            ((i * 7 + j * 5) % 9) as f64 * 0.4 - 1.5
+        }
+    });
+    let bm = Matrix::from_fn(4, 1, |i, _| i as f64 * 0.6 - 0.8);
+    let run = |fused: bool| {
+        let t = Tape::new();
+        let a = t.leaf(am.clone(), true);
+        let b = t.leaf(bm.clone(), true);
+        let before = t.tanh(a);
+        let y = if fused {
+            t.leaky_relu_matmul(a, b, 0.2)
+        } else {
+            t.matmul(t.leaky_relu(a, 0.2), b)
+        };
+        let after = t.matmul(a, b);
+        let weights = t.constant(Matrix::from_fn(6, 1, |i, _| i as f64 * 0.3 - 0.7));
+        let loss = t.add(
+            t.sum_all(t.mul_elem(t.sigmoid(y), weights)),
+            t.add(
+                t.sum_all(t.mul_elem(before, before)),
+                t.sum_all(t.mul_elem(after, after)),
+            ),
+        );
+        let out = t.value_cloned(y);
+        let g = t.backward(loss);
+        (out, g.get(a).unwrap().clone(), g.get(b).unwrap().clone())
+    };
+    let (fo, fga, fgb) = run(true);
+    let (uo, uga, ugb) = run(false);
+    assert_eq!(fo.data(), uo.data(), "forward value");
+    assert_eq!(fga.data(), uga.data(), "grad wrt a");
+    assert_eq!(fgb.data(), ugb.data(), "grad wrt b");
+    assert!(am.data().iter().any(|&v| v < 0.0) && am.data().iter().any(|&v| v > 0.0));
 }
 
 // -- dispatch parity across pool widths ----------------------------------

@@ -1,7 +1,7 @@
 //! Differential parity: checkpointed tape vs retaining tape.
 //!
 //! A random op chain (matmul / spmm / the fused spmm+bias+relu,
-//! matmul+leaky-relu and pair-dot ops / map / zip)
+//! matmul+leaky-relu, leaky-relu+matmul and pair-dot ops / map / zip)
 //! with random checkpoint-segment boundaries is executed twice over the
 //! same tape program — once with the scopes active (interiors dropped
 //! after forward, replayed on backward) and once fully retained. The
@@ -41,6 +41,7 @@ enum Step {
     Spmm,
     SpmmBiasRelu,
     MatmulLeakyRelu { pick: usize },
+    LeakyReluMatmul { pick: usize },
     PairDot,
     ScopeBegin,
     ScopeEnd,
@@ -68,7 +69,7 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             ops_in_scope = 0;
         }
         let pick = rng.random_range(0..64usize);
-        steps.push(match rng.random_range(0..10u32) {
+        steps.push(match rng.random_range(0..11u32) {
             0 => Step::Matmul { pick },
             1 => Step::Add { pick },
             2 => Step::MulElem { pick },
@@ -78,6 +79,7 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             6 => Step::Spmm,
             7 => Step::SpmmBiasRelu,
             8 => Step::MatmulLeakyRelu { pick },
+            9 => Step::LeakyReluMatmul { pick },
             _ => Step::PairDot,
         });
         if in_scope {
@@ -192,6 +194,7 @@ fn run(program: &[Step], inp: &Inputs, ckpt: bool) -> RunOut {
             Step::Spmm => head = tape.spmm(inp.csr.clone(), vals, head),
             Step::SpmmBiasRelu => head = tape.spmm_bias_relu(inp.csr.clone(), vals, head, bias),
             Step::MatmulLeakyRelu { pick } => head = tape.matmul_leaky_relu(head, arg(pick), 0.2),
+            Step::LeakyReluMatmul { pick } => head = tape.leaky_relu_matmul(head, arg(pick), 0.2),
             Step::PairDot => {
                 // the fitness shape: sigmoid of the pair scores, then a
                 // second reader of `head` recorded after the fused op

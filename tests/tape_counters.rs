@@ -19,9 +19,9 @@ use mg_nn::testkit::{seeds, two_community_ctx};
 use mg_tensor::{ParamStore, Tape};
 
 /// Retained `peak_tape_bytes` of the step below.
-const PEAK_TAPE_BYTES: usize = 36_320;
+const PEAK_TAPE_BYTES: usize = 34_016;
 /// Nodes the step records on the tape.
-const TAPE_OPS: usize = 111;
+const TAPE_OPS: usize = 108;
 
 /// One forward+backward of a 2-level, hidden-16 AdamGNN on the
 /// two-community fixture (dropout off, fixed seeds), on a retaining tape.
