@@ -301,11 +301,7 @@ impl AdamGnn {
             }
             let stacked = tape.concat_cols(&scores); // n x K
             let beta = tape.softmax_rows(stacked);
-            let mut h = h0;
-            for (k, &up) in unpooled.iter().enumerate() {
-                let b_k = tape.slice_cols(beta, k, k + 1);
-                h = tape.add(h, tape.mul_col(up, b_k));
-            }
+            let h = tape.add_weighted_cols(h0, &unpooled, beta);
             if let Some(scope) = fly_scope {
                 tape.end_checkpoint(scope, &[h, beta]);
             }
@@ -468,18 +464,14 @@ mod tests {
                 let bind = store.bind(&tape);
                 let out = model.forward(&tape, &bind, &ctx, true, &mut seeds::forward_rng());
                 let loss = tape.mean_all(tape.mul_elem(out.h, out.h));
+                let (loss_value, h) = (tape.value_cloned(loss), tape.value_cloned(out.h));
                 let grads = tape.backward(loss);
                 let gbits: Vec<Matrix> = store
                     .param_ids()
                     .into_iter()
                     .filter_map(|p| grads.get(bind.var(p)).cloned())
                     .collect();
-                (
-                    tape.value_cloned(loss),
-                    tape.value_cloned(out.h),
-                    gbits,
-                    tape.peak_tape_bytes(),
-                )
+                (loss_value, h, gbits, tape.peak_tape_bytes())
             })
         };
         let (loss_r, h_r, grads_r, peak_r) = run(false);
@@ -587,13 +579,14 @@ mod tests {
                     if let Some(aux) = out.aux {
                         loss = tape.add(loss, aux);
                     }
+                    let loss_value = tape.value_cloned(loss);
                     let grads = tape.backward(loss);
                     let gbits: Vec<Matrix> = store
                         .param_ids()
                         .into_iter()
                         .filter_map(|p| grads.get(bind.var(p)).cloned())
                         .collect();
-                    (tape.value_cloned(loss), gbits, tape.peak_tape_bytes())
+                    (loss_value, gbits, tape.peak_tape_bytes())
                 })
             };
             let (loss_r, grads_r, peak_r) = run(false);

@@ -19,7 +19,7 @@
 
 use crate::node::NodeDataset;
 use mg_graph::Topology;
-use mg_tensor::Csr;
+use mg_tensor::{Csr, MgError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -81,7 +81,8 @@ pub struct BigGraphConfig {
     pub feat_dim: usize,
     pub seed: u64,
     /// Hard cap on the builder's peak transient allocation, bytes. The
-    /// build panics if its accounting exceeds this.
+    /// build fails before an allocation that would take its accounting
+    /// past this.
     pub byte_budget: usize,
 }
 
@@ -145,35 +146,55 @@ fn block_label(i: usize, n: usize, classes: usize) -> usize {
 }
 
 impl BigGraph {
-    /// Generate the graph under the configured byte budget.
+    /// [`BigGraph::try_generate`], panicking on its error.
     ///
     /// # Panics
     /// Panics if the builder's transient allocations would exceed
-    /// `cfg.byte_budget`.
+    /// `cfg.byte_budget`, or on a config with no classes or fewer nodes
+    /// than classes.
     pub fn generate(cfg: &BigGraphConfig) -> BigGraph {
-        assert!(cfg.classes >= 1 && cfg.n >= cfg.classes);
+        Self::try_generate(cfg).unwrap_or_else(|e| panic!("BigGraph::generate: {e}"))
+    }
+
+    /// Generate the graph under the configured byte budget.
+    ///
+    /// Fails with [`MgError::InvalidInput`], before allocating, when the
+    /// builder's transient allocations would exceed `cfg.byte_budget`,
+    /// and on a config with no classes or fewer nodes than classes.
+    pub fn try_generate(cfg: &BigGraphConfig) -> Result<BigGraph, MgError> {
+        if cfg.classes == 0 || cfg.n < cfg.classes {
+            return Err(MgError::InvalidInput {
+                detail: format!(
+                    "BigGraph needs 1 <= classes <= n, got {} classes over {} nodes",
+                    cfg.classes, cfg.n
+                ),
+            });
+        }
         let n = cfg.n;
         let mut peak = 0usize;
         let mut live = 0usize;
         let charge = |live: &mut usize, peak: &mut usize, bytes: usize, budget: usize| {
             *live += bytes;
             *peak = (*peak).max(*live);
-            assert!(
-                *peak <= budget,
-                "streaming CSR build exceeds byte budget: {} > {}",
-                *peak,
-                budget
-            );
+            if *peak > budget {
+                return Err(MgError::InvalidInput {
+                    detail: format!(
+                        "streaming CSR build exceeds byte budget: {} > {budget}",
+                        *peak
+                    ),
+                });
+            }
+            Ok(())
         };
 
         // pass 1: degree counts → indptr prefix sums
-        charge(&mut live, &mut peak, 4 * n, cfg.byte_budget);
+        charge(&mut live, &mut peak, 4 * n, cfg.byte_budget)?;
         let mut deg = vec![0u32; n];
         for_each_edge(cfg, |u, v| {
             deg[u as usize] += 1;
             deg[v as usize] += 1;
         });
-        charge(&mut live, &mut peak, 8 * (n + 1), cfg.byte_budget);
+        charge(&mut live, &mut peak, 8 * (n + 1), cfg.byte_budget)?;
         let mut indptr: Vec<usize> = Vec::with_capacity(n + 1);
         indptr.push(0);
         let mut acc = 0usize;
@@ -185,9 +206,9 @@ impl BigGraph {
         live -= 4 * n;
 
         // pass 2: direct index-array fill via per-row write cursors
-        charge(&mut live, &mut peak, 4 * acc, cfg.byte_budget);
+        charge(&mut live, &mut peak, 4 * acc, cfg.byte_budget)?;
         let mut indices = vec![0u32; acc];
-        charge(&mut live, &mut peak, 8 * n, cfg.byte_budget);
+        charge(&mut live, &mut peak, 8 * n, cfg.byte_budget)?;
         let mut cursor: Vec<usize> = indptr[..n].to_vec();
         for_each_edge(cfg, |u, v| {
             indices[cursor[u as usize]] = v;
@@ -223,13 +244,13 @@ impl BigGraph {
         let adj = Csr::from_parts(n, n, indptr, indices);
         let topo = Topology::from_symmetric_csr(adj);
         let _ = live;
-        BigGraph {
+        Ok(BigGraph {
             topo,
             classes: cfg.classes,
             feat_dim: cfg.feat_dim,
             seed: cfg.seed,
             peak_bytes: peak,
-        }
+        })
     }
 }
 
@@ -394,20 +415,59 @@ mod tests {
         let _ = BigGraph::generate(&cfg);
     }
 
+    /// Endpoints the edge stream writes before dedup.
+    fn raw_endpoints(cfg: &BigGraphConfig) -> usize {
+        let mut raw = 0usize;
+        for_each_edge(cfg, |_, _| raw += 2);
+        raw
+    }
+
+    /// The peak is pass 2's live set: indptr, the index array over every
+    /// raw endpoint (before dedup) and the write cursors.
+    fn exact_ledger(cfg: &BigGraphConfig) -> usize {
+        8 * (cfg.n + 1) + 4 * raw_endpoints(cfg) + 8 * cfg.n
+    }
+
     #[test]
     fn peak_accounting_reflects_index_array() {
         let cfg = small_cfg();
         let g = BigGraph::generate(&cfg);
-        // the peak is pass 2's live set: indptr, the index array over
-        // every raw endpoint (before dedup) and the write cursors
-        let mut raw_endpoints = 0usize;
-        for_each_edge(&cfg, |_, _| raw_endpoints += 2);
         assert!(
-            raw_endpoints > g.topo.adj().nnz(),
+            raw_endpoints(&cfg) > g.topo.adj().nnz(),
             "the stream has duplicates"
         );
-        let ledger = 8 * (cfg.n + 1) + 4 * raw_endpoints + 8 * cfg.n;
-        assert_eq!(g.peak_bytes, ledger);
+        assert_eq!(g.peak_bytes, exact_ledger(&cfg));
         assert!(g.peak_bytes <= cfg.byte_budget);
+    }
+
+    /// A budget one byte under the exact ledger is a typed error, and the
+    /// exact ledger itself builds; so do bad class counts.
+    #[test]
+    fn budget_overrun_is_a_typed_error() {
+        let ledger = exact_ledger(&small_cfg());
+        let tight = |byte_budget| BigGraphConfig {
+            byte_budget,
+            ..small_cfg()
+        };
+        match BigGraph::try_generate(&tight(ledger - 1)) {
+            Err(MgError::InvalidInput { detail }) => {
+                assert!(detail.contains("exceeds byte budget"), "{detail}")
+            }
+            Err(e) => panic!("wrong error: {e:?}"),
+            Ok(_) => panic!("a budget under the ledger must fail"),
+        }
+        let g = BigGraph::try_generate(&tight(ledger)).expect("the exact ledger fits");
+        assert_eq!(g.peak_bytes, ledger);
+        for (n, classes) in [(2000, 0), (3, 4)] {
+            let cfg = BigGraphConfig {
+                n,
+                classes,
+                ..small_cfg()
+            };
+            assert!(matches!(
+                BigGraph::try_generate(&cfg),
+                Err(MgError::InvalidInput { .. })
+            ));
+        }
     }
 }

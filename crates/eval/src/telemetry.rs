@@ -1,10 +1,10 @@
 //! Collection helpers between the trainers and the mg-obs trace sink.
 //!
 //! Everything here is *read-only observation*: helpers read tape values
-//! that the training step already computed and gradients that backward
-//! already produced, and never draw from an RNG — so a traced run is
-//! bit-identical to an untraced one (pinned by the mg-verify golden
-//! suite). Call sites gate collection on `Trace::enabled()` so disabled
+//! that the training step already computed (before backward, which
+//! releases them) and gradients that backward produced, and never draw
+//! from an RNG — so a traced run is bit-identical to an untraced one
+//! (pinned by the mg-verify golden suite). Call sites gate collection on `Trace::enabled()` so disabled
 //! runs skip the work entirely.
 
 use crate::trainer::Step;
@@ -37,16 +37,10 @@ pub(crate) struct LossTerms {
     pub recon: Option<Var>,
 }
 
-/// Harvest one step's telemetry into the step fields of an epoch record
-/// (loss terms, gradient norms, β, level sizes, peak tape bytes), between
-/// `backward` and the optimizer step that consumes the gradients.
-pub(crate) fn collect_step(
-    tape: &Tape,
-    store: &ParamStore,
-    bind: &Binding,
-    grads: &Gradients,
-    step: &Step,
-) -> EpochRecord {
+/// Read one step's forward telemetry into the step fields of an epoch
+/// record: loss terms, β and level sizes. Runs before `backward`, which
+/// releases the values it reads.
+pub(crate) fn observe_forward(tape: &Tape, step: &Step) -> EpochRecord {
     let (terms, internals) = (step.terms, step.internals.as_ref());
     let scalar = |v: Var| tape.value(v).scalar();
     let beta = internals.and_then(|out| out.beta).map(|b| {
@@ -57,12 +51,24 @@ pub(crate) fn collect_step(
         loss_task: terms.task.map(scalar),
         loss_kl: terms.kl.map(scalar),
         loss_recon: terms.recon.map(scalar),
-        grad_norms: grad_norms(store, bind, grads),
         beta,
         level_sizes: internals.map_or(vec![], |o| o.levels.iter().map(|l| l.size).collect()),
-        peak_tape_bytes: tape.peak_tape_bytes() as u64,
         ..EpochRecord::default()
     }
+}
+
+/// Add what backward produced to `rec`: per-parameter gradient norms and
+/// the tape's peak bytes, read before the optimizer step consumes the
+/// gradients.
+pub(crate) fn observe_backward(
+    rec: &mut EpochRecord,
+    tape: &Tape,
+    store: &ParamStore,
+    bind: &Binding,
+    grads: &Gradients,
+) {
+    rec.grad_norms = grad_norms(store, bind, grads);
+    rec.peak_tape_bytes = tape.peak_tape_bytes() as u64;
 }
 
 #[cfg(test)]
@@ -88,19 +94,20 @@ mod tests {
     }
 
     #[test]
-    fn collect_step_reads_term_values() {
+    fn observe_reads_term_values_then_gradients() {
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::full(1, 1, 2.0));
         let tape = Tape::new();
         let bind = store.bind(&tape);
         let task = tape.sum_all(bind.var(w));
-        let grads = tape.backward(task);
         let terms = LossTerms {
             task: Some(task),
             ..Default::default()
         };
         let step = Step::new(&tape, task, terms, None);
-        let obs = collect_step(&tape, &store, &bind, &grads, &step);
+        let mut obs = observe_forward(&tape, &step);
+        let grads = tape.backward(task);
+        observe_backward(&mut obs, &tape, &store, &bind, &grads);
         assert_eq!(obs.loss_task, Some(2.0));
         assert_eq!(obs.loss_kl, None);
         assert_eq!(obs.loss_recon, None);

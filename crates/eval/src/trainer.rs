@@ -208,6 +208,11 @@ pub(crate) fn train<'a>(
             if !loss.is_finite() {
                 return Err(non_finite(job, "loss", epoch, step));
             }
+            // telemetry reads the forward's values before backward
+            // releases them, and gradients before the optimizer consumes them
+            let observed = obs
+                .enabled()
+                .then(|| telemetry::observe_forward(&tape, &out));
             let mut grads = tape.backward(out.loss);
             // a ReLU can hide a NaN input from the loss but not from the
             // gradients, and stepping on one poisons every parameter
@@ -215,10 +220,10 @@ pub(crate) fn train<'a>(
             if !store.param_ids().into_iter().all(finite) {
                 return Err(non_finite(job, "gradient", epoch, step));
             }
-            if obs.enabled() {
-                // telemetry reads gradients before the optimizer consumes them
-                last = telemetry::collect_step(&tape, &store, &bind, &grads, &out);
-                peak_tape_bytes = peak_tape_bytes.max(last.peak_tape_bytes);
+            if let Some(mut rec) = observed {
+                telemetry::observe_backward(&mut rec, &tape, &store, &bind, &grads);
+                peak_tape_bytes = peak_tape_bytes.max(rec.peak_tape_bytes);
+                last = rec;
                 if let Some(sub) = &out.sub {
                     obs.sample_step(&SampleStepRecord {
                         epoch,

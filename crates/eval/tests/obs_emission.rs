@@ -134,6 +134,80 @@ fn traced_run_is_bitwise_identical_and_emits_valid_jsonl() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The epoch records' values are the untraced run's, bit for bit. They
+/// are read off the tape before backward releases it: each record's
+/// `loss_total` is the untraced trace's loss, and its three terms
+/// recompose to it exactly as `total_loss` adds them. Two traced runs
+/// emit the same records.
+#[test]
+fn traced_records_read_the_untraced_step_bitwise() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = tiny_ds();
+    let cfg = fast_cfg();
+    let session = || {
+        TrainSession::new(
+            SessionKind::NodeClassification(NodeModelKind::AdamGnn),
+            &cfg,
+        )
+        .run(&ds)
+        .unwrap()
+    };
+    std::env::remove_var("MG_TRACE");
+    let base = session();
+    let traced = |tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("mg_obs_values_{tag}_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        std::env::set_var("MG_TRACE", &path);
+        let res = session();
+        std::env::remove_var("MG_TRACE");
+        let text = std::fs::read_to_string(&path).expect("trace file written");
+        let _ = std::fs::remove_file(&path);
+        let epochs: Vec<Json> = text
+            .lines()
+            .map(|l| Json::parse(l).expect("line parses"))
+            .filter(|v| v.get("kind").and_then(Json::as_str) == Some("epoch"))
+            .collect();
+        (res, epochs)
+    };
+    let (res, epochs) = traced("a");
+    assert_eq!(base.trace, res.trace, "tracing changed the training run");
+    assert_eq!(epochs.len(), base.trace.records.len());
+    let f = |v: &Json, k: &str| v.get(k).and_then(Json::as_f64).expect(k);
+    let (gamma, delta) = (cfg.weights.gamma, cfg.weights.delta);
+    for (v, row) in epochs.iter().zip(&base.trace.records) {
+        let total = f(v, "loss_total");
+        assert_eq!(total.to_bits(), row.loss.to_bits(), "epoch {}", row.epoch);
+        let (task, kl, recon) = (f(v, "loss_task"), f(v, "loss_kl"), f(v, "loss_recon"));
+        assert_eq!(
+            ((task + kl * gamma) + recon * delta).to_bits(),
+            total.to_bits(),
+            "epoch {}: the recorded terms are not this step's",
+            row.epoch
+        );
+    }
+    // wall times differ between runs; every other field is exact
+    let exact = |v: &Json| {
+        [
+            "loss_total",
+            "loss_task",
+            "loss_kl",
+            "loss_recon",
+            "val_metric",
+            "grad_norms",
+            "beta",
+            "level_sizes",
+            "peak_tape_bytes",
+        ]
+        .map(|k| v.get(k).map(Json::to_string))
+    };
+    let (_, again) = traced("b");
+    assert_eq!(
+        epochs.iter().map(exact).collect::<Vec<_>>(),
+        again.iter().map(exact).collect::<Vec<_>>()
+    );
+}
+
 /// Every traced trainer must close its trace: exactly one run_start,
 /// one kernel_stats and one run_end per run (a table sweep appending
 /// several runs to one file stays well-formed). Regression for the LP

@@ -71,8 +71,7 @@ macro_rules! two_layer_encoder {
                 train: bool,
                 rng: &mut StdRng,
             ) -> Var {
-                let x = ctx.x_var(tape);
-                let mut h = self.l1.forward(tape, bind, ctx, x);
+                let mut h = self.l1.forward_features(tape, bind, ctx);
                 if train {
                     h = tape.dropout(h, self.dropout, rng);
                 }

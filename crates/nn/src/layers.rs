@@ -141,6 +141,13 @@ impl SageLayer {
         let z = tape.add_bias(tape.matmul(cat, bind.var(self.w)), bind.var(self.b));
         apply_act(tape, z, self.act)
     }
+
+    /// [`SageLayer::forward`] on the context's own features, densified:
+    /// the layer aggregates `x` before it applies `W`, so there is no
+    /// `x·W` to take as a sparse product without reordering its sums.
+    pub fn forward_features(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx) -> Var {
+        self.forward(tape, bind, ctx, ctx.x_var(tape))
+    }
 }
 
 /// Graph Attention layer, single head (Velickovic et al. 2018):
@@ -179,8 +186,20 @@ impl GatLayer {
 
     /// Forward on a graph context (edges include self loops).
     pub fn forward(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx, h: Var) -> Var {
+        self.attend(tape, bind, ctx, tape.matmul(h, bind.var(self.w)))
+    }
+
+    /// [`GatLayer::forward`] on the context's own features, with `x·W` a
+    /// sparse product over `x`'s non-zeros, bitwise equal for finite `W`
+    /// (see [`GcnLayer::forward_features`]).
+    pub fn forward_features(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx) -> Var {
+        let (x_csr, x_vals) = ctx.x_sparse_var(tape);
+        self.attend(tape, bind, ctx, tape.spmm(x_csr, x_vals, bind.var(self.w)))
+    }
+
+    /// Attention and aggregation over the projected features `hw = h·W`.
+    fn attend(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx, hw: Var) -> Var {
         let n = ctx.n();
-        let hw = tape.matmul(h, bind.var(self.w));
         // per-node halves of the attention logit
         let s_src = tape.matmul(hw, bind.var(self.a_src)); // n x 1
         let s_dst = tape.matmul(hw, bind.var(self.a_dst)); // n x 1
@@ -295,17 +314,22 @@ mod tests {
         );
     }
 
-    /// The sparse first-layer product is bitwise the dense one, in value
-    /// and in every parameter gradient.
-    #[test]
-    fn gcn_forward_features_matches_dense_input_bitwise() {
+    /// A ring whose 6 x 7 features are 40% zeros of mixed sign.
+    fn sparse_feature_ctx() -> GraphCtx {
         let g = Topology::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]);
         let x = Matrix::from_fn(6, 7, |i, j| match (i * 7 + j * 3) % 5 {
             0 | 1 => -0.5 * (i as f64 + 1.0),
             2 => 0.25 * j as f64,
             _ => 0.0,
         });
-        let ctx = GraphCtx::new(g, x);
+        GraphCtx::new(g, x)
+    }
+
+    /// The sparse first-layer product is bitwise the dense one, in value
+    /// and in every parameter gradient.
+    #[test]
+    fn gcn_forward_features_matches_dense_input_bitwise() {
+        let ctx = sparse_feature_ctx();
         let mut store = ParamStore::new();
         let layer = GcnLayer::new(&mut store, "gcn", 7, 4, Activation::Relu, &mut rng());
         let run = |sparse: bool| {
@@ -328,6 +352,34 @@ mod tests {
         assert_eq!(bits(&sparse.1), bits(&dense.1), "dW");
         assert_eq!(bits(&sparse.2), bits(&dense.2), "db");
         assert_eq!(sparse.3, dense.3, "tape op count");
+    }
+
+    /// The same for the GAT layer, whose projection `x·W` feeds both the
+    /// attention scores and the messages.
+    #[test]
+    fn gat_forward_features_matches_dense_input_bitwise() {
+        let ctx = sparse_feature_ctx();
+        let mut store = ParamStore::new();
+        let layer = GatLayer::new(&mut store, "gat", 7, 4, Activation::Relu, &mut rng());
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |sparse: bool| {
+            let tape = Tape::new();
+            let bind = store.bind(&tape);
+            let out = if sparse {
+                layer.forward_features(&tape, &bind, &ctx)
+            } else {
+                layer.forward(&tape, &bind, &ctx, ctx.x_var(&tape))
+            };
+            let value = bits(&tape.value(out));
+            let grads = tape.backward(tape.sum_all(tape.mul_elem(out, out)));
+            let grads: Vec<_> = store
+                .param_ids()
+                .into_iter()
+                .map(|id| bits(grads.get(bind.var(id)).expect("every parameter reached")))
+                .collect();
+            (value, grads)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

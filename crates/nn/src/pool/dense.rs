@@ -99,8 +99,7 @@ impl DensePoolGc {
 
     /// The soft assignment matrix for a graph (used by tests).
     pub fn assignment(&self, tape: &Tape, bind: &Binding, ctx: &GraphCtx) -> Var {
-        let x = ctx.x_var(tape);
-        let logits = self.assign.forward(tape, bind, ctx, x);
+        let logits = self.assign.forward_features(tape, bind, ctx);
         let refined = self.refine(tape, bind, ctx, logits);
         tape.softmax_rows(refined)
     }
@@ -159,9 +158,8 @@ impl GraphClassifier for DensePoolGc {
         rng: &mut StdRng,
     ) -> GcOutput {
         let n = ctx.n();
-        let x = ctx.x_var(tape);
-        let z = self.embed.forward(tape, bind, ctx, x); // n x hidden
-        let logits = self.assign.forward(tape, bind, ctx, x); // n x K
+        let z = self.embed.forward_features(tape, bind, ctx); // n x hidden
+        let logits = self.assign.forward_features(tape, bind, ctx); // n x K
         let refined = self.refine(tape, bind, ctx, logits);
         let log_s = tape.log_softmax_rows(refined);
         let s = tape.softmax_rows(refined); // n x K

@@ -144,24 +144,32 @@ impl GraphClassifier for TopKGc {
     ) -> GcOutput {
         let mut topo: Rc<Topology> = ctx.graph.clone();
         let mut adj: NormAdj = ctx.gcn.clone();
-        let mut h = ctx.x_var(tape);
+        let mut h: Option<Var> = None;
         let mut readout_sum: Option<Var> = None;
         for (conv, scorer) in self.convs.iter().zip(&self.scorers) {
-            let vals = tape.constant(Matrix::from_vec(1, adj.values.len(), adj.values.clone()));
-            h = conv.forward_adj(tape, bind, adj.csr.clone(), vals, h);
+            let conv_h = match h {
+                // the first level convolves the input graph's own features
+                None => conv.forward_features(tape, bind, ctx),
+                Some(h) => {
+                    let vals =
+                        tape.constant(Matrix::from_vec(1, adj.values.len(), adj.values.clone()));
+                    conv.forward_adj(tape, bind, adj.csr.clone(), vals, h)
+                }
+            };
             let vals2 = tape.constant(Matrix::from_vec(1, adj.values.len(), adj.values.clone()));
-            let score = scorer.score(tape, bind, adj.csr.clone(), vals2, h);
+            let score = scorer.score(tape, bind, adj.csr.clone(), vals2, conv_h);
             // discrete top-k selection on the score values; gradients flow
             // through the tanh gate on the surviving nodes
             let keep = top_ratio_indices(&tape.value(score), self.ratio);
             let keep_rc = Rc::new(keep.clone());
-            let h_kept = tape.gather_rows(h, keep_rc.clone());
+            let h_kept = tape.gather_rows(conv_h, keep_rc.clone());
             let gate = tape.tanh(tape.gather_rows(score, keep_rc));
-            h = tape.mul_col(h_kept, gate);
+            let pooled = tape.mul_col(h_kept, gate);
+            h = Some(pooled);
             let (sub, _) = topo.induced_subgraph(&keep);
             adj = gcn_norm(&sub);
             topo = Rc::new(sub);
-            let r = Readout::MeanMax.apply(tape, h);
+            let r = Readout::MeanMax.apply(tape, pooled);
             readout_sum = Some(match readout_sum {
                 Some(acc) => tape.add(acc, r),
                 None => r,

@@ -52,8 +52,9 @@ impl GraphClassifier for SortPoolGc {
         train: bool,
         rng: &mut StdRng,
     ) -> GcOutput {
-        let mut h = ctx.x_var(tape);
-        for conv in &self.convs {
+        let (first, rest) = self.convs.split_first().expect("at least one conv");
+        let mut h = first.forward_features(tape, bind, ctx);
+        for conv in rest {
             h = conv.forward(tape, bind, ctx, h);
         }
         let n = ctx.n();

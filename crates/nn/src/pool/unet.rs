@@ -56,8 +56,7 @@ impl NodeEncoder for GraphUNet {
         rng: &mut StdRng,
     ) -> Var {
         let n = ctx.n();
-        let x = ctx.x_var(tape);
-        let mut h1 = self.enc.forward(tape, bind, ctx, x); // n x hidden
+        let mut h1 = self.enc.forward_features(tape, bind, ctx); // n x hidden
         if train {
             h1 = tape.dropout(h1, self.dropout, rng);
         }

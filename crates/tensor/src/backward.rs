@@ -11,33 +11,59 @@
 //! again as soon as the sweep passes below its start — so at any moment
 //! at most the segments under the sweep cursor are resident, which is
 //! what bounds peak memory.
+//!
+//! ## What the sweep releases
+//!
+//! Once the cursor is below node `i`, no backward step reads `i` again:
+//! every consumer of `i` has a higher index and has already run. So the
+//! sweep releases `i` as it passes it — its value and its op payload
+//! (the Student-t kernel, BCE logits, dropout masks, `Rc<Csr>`
+//! references), charged back through the live-byte counter. Leaves
+//! (parameters and constants) and nodes recorded after the loss keep
+//! theirs. A checkpoint segment's nodes, kept outputs included, are
+//! released together when the cursor passes below its start, where its
+//! interior is re-dropped: until then a replay of the segment may read
+//! any of them, and a later replay of an earlier segment reads only
+//! nodes below the cursor, which are all still live. A tape is therefore
+//! swept once; a second sweep is an [`MgError::InvalidInput`].
 
-use crate::checkpoint::segment_containing;
+use crate::checkpoint::{segment_containing, Segment};
 use crate::error::MgError;
 use crate::matrix::Matrix;
 use crate::ops::{leaky_relu, sigmoid, softmax_rows, KlStats};
-use crate::tape::{Gradients, Op, Tape, Var};
+use crate::tape::{bytes_of, Gradients, Node, Op, Tape, Var};
 
 impl Tape {
-    /// Run reverse-mode differentiation from the scalar `loss` node.
+    /// Run reverse-mode differentiation from the scalar `loss` node,
+    /// releasing every non-leaf node at or below `loss` on the way (see
+    /// the module docs).
     ///
     /// # Panics
-    /// Panics if `loss` is not `1 x 1`, or if a checkpointed segment
-    /// fails its replay consistency check (use [`Tape::try_backward`] to
-    /// handle that as a typed error instead).
+    /// Panics if `loss` is not `1 x 1`, if the tape was already swept, or
+    /// if a checkpointed segment fails its replay consistency check (use
+    /// [`Tape::try_backward`] to handle the last two as typed errors).
     pub fn backward(&self, loss: Var) -> Gradients {
         self.try_backward(loss)
             .unwrap_or_else(|e| panic!("backward: {e}"))
     }
 
     /// [`Tape::backward`], surfacing checkpoint-replay divergence as
-    /// [`MgError::Corrupt`] instead of silently wrong gradients. On a
-    /// retaining tape (no checkpoint scopes) this never errors.
+    /// [`MgError::Corrupt`] instead of silently wrong gradients, and a
+    /// second sweep over the same tape as [`MgError::InvalidInput`]. On
+    /// a retaining tape (no checkpoint scopes) the first sweep never
+    /// errors.
     pub fn try_backward(&self, loss: Var) -> Result<Gradients, MgError> {
         assert!(
             self.open_scope.get().is_none(),
             "backward: a checkpoint scope is still open"
         );
+        if self.swept.replace(true) {
+            return Err(MgError::InvalidInput {
+                detail: "this tape was already swept and its forward values released; \
+                         record a fresh tape for each backward pass"
+                    .into(),
+            });
+        }
         let mut nodes = self.nodes.borrow_mut();
         let segments = self.segments.borrow();
         assert_eq!(
@@ -49,15 +75,12 @@ impl Tape {
         grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
 
         // Segments with start above the sweep cursor can never be needed
-        // again (a node's inputs always precede it), so they are
-        // re-dropped the moment the cursor passes below their start.
+        // again (a node's inputs always precede it): `sweep_past` releases
+        // them, and every other node, the moment the cursor is below them.
         let mut live_seg = segments.len();
 
         for i in (0..=loss.0).rev() {
-            while live_seg > 0 && segments[live_seg - 1].start > i {
-                self.redrop_segment(&mut nodes, &segments[live_seg - 1]);
-                live_seg -= 1;
-            }
+            self.sweep_past(&mut nodes, &segments, &mut live_seg, i + 1, loss);
             if !nodes[i].requires_grad {
                 grads[i] = None;
                 continue;
@@ -336,6 +359,42 @@ impl Tape {
                         acc!(*col, gc);
                     }
                 }
+                Op::AddWeightedCols {
+                    base,
+                    parts,
+                    weights,
+                } => {
+                    // The unfused chain's sweep, last part first: part k's
+                    // MulCol gives `parts[k]` its gradient and its SliceCols
+                    // adds column k of β's (zeros elsewhere) into β's
+                    // buffer; the first Add hands `g` to `base` just before
+                    // part 0's turn.
+                    let wv = nodes[weights.0].val();
+                    for (k, &p) in parts.iter().enumerate().rev() {
+                        if k == 0 {
+                            acc!(*base, g.clone());
+                        }
+                        if nodes[p.0].requires_grad {
+                            let mut gp = Matrix::zeros(g.rows(), g.cols());
+                            for r in 0..g.rows() {
+                                let c = wv[(r, k)];
+                                for (o, &x) in gp.row_mut(r).iter_mut().zip(g.row(r)) {
+                                    *o = c * x;
+                                }
+                            }
+                            acc!(p, gp);
+                        }
+                        if nodes[weights.0].requires_grad {
+                            let pv = nodes[p.0].val();
+                            let mut gw = Matrix::zeros(wv.rows(), wv.cols());
+                            for r in 0..g.rows() {
+                                gw[(r, k)] =
+                                    g.row(r).iter().zip(pv.row(r)).map(|(&gx, &x)| gx * x).sum();
+                            }
+                            acc!(*weights, gw);
+                        }
+                    }
+                }
                 Op::ConcatCols(parts) => {
                     let mut off = 0;
                     for v in parts {
@@ -473,20 +532,54 @@ impl Tape {
             }
             // Intermediate gradients are dropped once consumed to bound memory.
         }
-        // Leave the tape in its checkpointed state: any segment the sweep
-        // materialised (or never reached) ends with its interior dropped.
-        while live_seg > 0 {
-            self.redrop_segment(&mut nodes, &segments[live_seg - 1]);
-            live_seg -= 1;
-        }
+        self.sweep_past(&mut nodes, &segments, &mut live_seg, 0, loss);
         debug_assert!(
+            nodes.iter().enumerate().all(|(i, n)| if i <= loss.0 {
+                matches!(n.op, Op::Leaf)
+            } else {
+                n.value.is_some() || segment_containing(&segments, i).is_some()
+            }),
+            "the sweep releases every non-leaf node up to the loss; above it, \
+             every dropped value belongs to a segment"
+        );
+        debug_assert_eq!(
+            self.live_bytes.get(),
             nodes
                 .iter()
-                .enumerate()
-                .all(|(i, n)| n.value.is_some() || segment_containing(&segments, i).is_some()),
-            "every dropped value must belong to a segment"
+                .filter_map(|n| n.value.as_ref())
+                .map(bytes_of)
+                .sum::<usize>(),
+            "live bytes are exactly the values left on the tape"
         );
         Ok(Gradients { grads })
+    }
+
+    /// Release what the cursor has just moved below, node `passed`: the
+    /// node itself unless a segment still holds it, then every segment
+    /// starting at or above it — its interior re-dropped, and its nodes up
+    /// to `loss` released together. `live_seg` counts the segments not yet
+    /// passed; the nodes of those it leaves all lie below `passed`.
+    fn sweep_past(
+        &self,
+        nodes: &mut [Node],
+        segments: &[Segment],
+        live_seg: &mut usize,
+        passed: usize,
+        loss: Var,
+    ) {
+        let in_segment = *live_seg > 0 && passed < segments[*live_seg - 1].end;
+        if passed <= loss.0 && !in_segment {
+            self.sub_live_bytes(nodes[passed].release());
+        }
+        while *live_seg > 0 && segments[*live_seg - 1].start >= passed {
+            let seg = &segments[*live_seg - 1];
+            self.redrop_segment(nodes, seg);
+            let upto = seg.end.min(loss.0 + 1);
+            for node in nodes.get_mut(seg.start..upto).unwrap_or_default() {
+                self.sub_live_bytes(node.release());
+            }
+            *live_seg -= 1;
+        }
     }
 }
 
@@ -550,4 +643,122 @@ fn student_t_kl_grad(
 #[allow(dead_code)]
 pub(crate) fn softmax_reference(m: &Matrix) -> Matrix {
     softmax_rows(m)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::csr::Csr;
+    use std::rc::Rc;
+
+    /// `loss = sum(tanh(spmm(x) · w))`, then one node recorded after it:
+    /// `(tape, w, interiors, loss, after, csr)`.
+    fn swept_once() -> (Tape, Var, [Var; 2], Var, Var, Rc<Csr>) {
+        let tape = Tape::new();
+        let csr = Rc::new(Csr::from_coo(2, 2, &[(0, 1), (1, 0)]));
+        let vals = tape.constant(Matrix::from_vec(1, 2, vec![0.5, -1.0]));
+        let x = tape.constant(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let w = tape.leaf(Matrix::from_vec(2, 1, vec![0.3, -0.2]), true);
+        let ax = tape.spmm(csr.clone(), vals, x);
+        let t = tape.tanh(tape.matmul(ax, w));
+        let loss = tape.sum_all(t);
+        let after = tape.scale(t, 2.0);
+        (tape, w, [ax, t], loss, after, csr)
+    }
+
+    #[test]
+    fn sweep_releases_values_and_payloads_below_the_loss() {
+        let (tape, w, interiors, loss, after, csr) = swept_once();
+        assert_eq!(Rc::strong_count(&csr), 2, "the spmm op holds the pattern");
+        let grads = tape.backward(loss);
+        assert!(grads.get(w).is_some());
+        for v in interiors.into_iter().chain([loss]) {
+            assert!(!tape.is_materialized(v));
+        }
+        assert_eq!(Rc::strong_count(&csr), 1, "the op payload was dropped");
+        // the leaves (2 + 4 + 2 values) and the node after the loss stay
+        assert!(tape.is_materialized(w) && tape.is_materialized(after));
+        assert_eq!(tape.live_tape_bytes(), (8 + 2) * 8);
+        assert_eq!(tape.value(after).data().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "released by backward")]
+    fn reading_a_released_value_panics_naming_backward() {
+        let (tape, _, [_, t], loss, _, _) = swept_once();
+        let _ = tape.backward(loss);
+        let _ = tape.value_cloned(t);
+    }
+
+    #[test]
+    fn a_second_sweep_is_invalid_input() {
+        let (tape, _, _, loss, _, _) = swept_once();
+        let _ = tape.backward(loss);
+        let err = tape.try_backward(loss).err().expect("second sweep refused");
+        assert!(
+            matches!(&err, MgError::InvalidInput { detail } if detail.contains("already swept")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already swept")]
+    fn a_second_backward_panics() {
+        let (tape, _, _, loss, _, _) = swept_once();
+        let _ = tape.backward(loss);
+        let _ = tape.backward(loss);
+    }
+
+    /// A segment's top nodes that backward never visits (no gradient
+    /// reaches them) are passed before the segment is first replayed,
+    /// from below them: the sweep must keep segment nodes until it is
+    /// below the segment's start, or that replay would meet released ops.
+    #[test]
+    fn a_segment_is_released_only_below_its_start() {
+        let run = |ckpt: bool| {
+            let tape = Tape::new();
+            let x = tape.leaf(Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]), true);
+            let c = tape.constant(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+            let scope = ckpt.then(|| tape.begin_checkpoint());
+            let a = tape.tanh(x);
+            let b = tape.mul_elem(a, a);
+            let _unused = tape.sigmoid(tape.scale(a, 3.0));
+            let _constant = tape.tanh(c);
+            if let Some(scope) = scope {
+                tape.end_checkpoint(scope, &[b]);
+            }
+            let loss = tape.sum_all(b);
+            let g = tape.backward(loss).get(x).unwrap().clone();
+            (g, tape.live_tape_bytes())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// A segment holding the loss itself: its nodes up to the loss are
+    /// released with it, and its kept output after the loss survives.
+    #[test]
+    fn a_segment_straddling_the_loss_keeps_what_follows_it() {
+        let tape = Tape::new();
+        let x = tape.leaf(Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]), true);
+        let scope = tape.begin_checkpoint();
+        let a = tape.tanh(x);
+        let b = tape.mul_elem(a, a);
+        let loss = tape.sum_all(b);
+        let c = tape.relu(a);
+        tape.end_checkpoint(scope, &[loss, c]);
+        let want = {
+            let tape = Tape::new();
+            let x = tape.leaf(Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]), true);
+            let a = tape.tanh(x);
+            let loss = tape.sum_all(tape.mul_elem(a, a));
+            tape.backward(loss).get(x).unwrap().clone()
+        };
+        let grads = tape.backward(loss);
+        assert_eq!(grads.get(x).unwrap(), &want);
+        for v in [a, b, loss] {
+            assert!(!tape.is_materialized(v));
+        }
+        assert!(tape.is_materialized(c));
+        assert_eq!(tape.live_tape_bytes(), 2 * 3 * 8, "x and c");
+    }
 }

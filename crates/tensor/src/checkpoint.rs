@@ -43,8 +43,10 @@
 //! (leaves + `keep` sets) plus the largest single segment's interior,
 //! because `backward` materialises at most the segments it is currently
 //! sweeping and re-drops each segment once the sweep passes below its
-//! start. [`crate::Tape::peak_tape_bytes`] measures the realised
-//! high-water mark across forward and backward.
+//! start — releasing, at the same point, the segment's kept outputs and
+//! every node the sweep has already passed (see [`crate::backward`]).
+//! [`crate::Tape::peak_tape_bytes`] measures the realised high-water
+//! mark across forward and backward.
 
 use crate::error::MgError;
 use crate::matrix::Matrix;
@@ -190,6 +192,15 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<Var>) {
             out.push(*col);
         }
         Op::ConcatCols(parts) => out.extend_from_slice(parts),
+        Op::AddWeightedCols {
+            base,
+            parts,
+            weights,
+        } => {
+            out.push(*base);
+            out.extend_from_slice(parts);
+            out.push(*weights);
+        }
         Op::NllLoss { logp, .. } => out.push(*logp),
         Op::BcePairs { h, .. } | Op::StudentTKl { h, .. } | Op::PairDot { h, .. } => out.push(*h),
     }

@@ -191,6 +191,27 @@ impl Tape {
         self.record(Op::MulCol { a, col }, self.rg2(a, col))
     }
 
+    /// Fused `base + Σ_k mul_col(parts[k], slice_cols(weights, k, k + 1))`,
+    /// summed left to right — AdamGNN's flyback aggregation (Eq. 4), with
+    /// `weights` the `n x K` attention β. Forward and backward are bitwise
+    /// the unfused chain's: each element adds the same products in the same
+    /// order, and the backward accumulates into each input in the order the
+    /// chain's sweep would, column slices of β's gradient included. Only the
+    /// sum stays on the tape.
+    pub fn add_weighted_cols(&self, base: Var, parts: &[Var], weights: Var) -> Var {
+        assert!(!parts.is_empty(), "add_weighted_cols: no parts");
+        let rg = self.rg2(base, weights) || parts.iter().any(|&p| self.rg(p));
+        let parts = parts.to_vec();
+        self.record(
+            Op::AddWeightedCols {
+                base,
+                parts,
+                weights,
+            },
+            rg,
+        )
+    }
+
     /// Concatenate matrices along columns (all must share row count).
     pub fn concat_cols(&self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols: no inputs");
@@ -547,6 +568,29 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
             assert_eq!(cv.cols(), 1, "mul_col: col must be n x 1");
             assert_eq!(av.rows(), cv.rows(), "mul_col: height mismatch");
             Matrix::from_fn(av.rows(), av.cols(), |i, j| av[(i, j)] * cv[(i, 0)])
+        }
+        Op::AddWeightedCols {
+            base,
+            parts,
+            weights,
+        } => {
+            let (mut out, wv) = (v(*base).clone(), v(*weights));
+            assert_eq!(
+                wv.shape(),
+                (out.rows(), parts.len()),
+                "add_weighted_cols: weights must be n x parts"
+            );
+            for (k, &p) in parts.iter().enumerate() {
+                let pv = v(p);
+                assert_eq!(pv.shape(), out.shape(), "add_weighted_cols: part shape");
+                for i in 0..out.rows() {
+                    let c = wv[(i, k)];
+                    for (o, &x) in out.row_mut(i).iter_mut().zip(pv.row(i)) {
+                        *o += x * c;
+                    }
+                }
+            }
+            out
         }
         Op::ConcatCols(parts) => {
             let rows = v(parts[0]).rows();

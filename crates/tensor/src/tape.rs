@@ -11,7 +11,10 @@
 //!   sparse entries (AdamGNN's `S_k` fitness scores) receive gradients.
 //! * Gradients are returned as a separate [`Gradients`] store rather than
 //!   written into nodes, which keeps `backward(&self)` free of interior
-//!   mutability headaches and lets callers run several backward passes.
+//!   mutability headaches.
+//! * A tape is swept once: `backward` releases every non-leaf node at or
+//!   below the loss as soon as the sweep has passed it (see
+//!   [`crate::backward`]), so forward values must be read before it runs.
 //! * Node values are `Option<Matrix>`: a closed checkpoint scope (see
 //!   [`crate::checkpoint`]) drops interior buffers after forward and
 //!   `backward` re-materialises them by replaying the recorded ops (a
@@ -44,13 +47,33 @@ impl Node {
     /// The materialised forward value.
     ///
     /// # Panics
-    /// Panics if the buffer was dropped by a checkpoint scope and has not
-    /// been re-materialised — callers inside `backward` must go through
-    /// the segment materialisation path first.
+    /// Panics if backward released the node, or if the buffer was dropped
+    /// by a checkpoint scope and has not been re-materialised — callers
+    /// inside `backward` must go through the segment materialisation path
+    /// first.
     pub fn val(&self) -> &Matrix {
-        self.value
-            .as_ref()
-            .expect("node value was dropped by a checkpoint scope and is not materialised")
+        match &self.value {
+            Some(v) => v,
+            // a leaf's value is never dropped, so a valueless leaf is a
+            // node `release` emptied
+            None if matches!(self.op, Op::Leaf) => panic!(
+                "node value was released by backward, which frees every forward \
+                 value it has swept past; read values before calling backward"
+            ),
+            None => panic!("node value was dropped by a checkpoint scope and is not materialised"),
+        }
+    }
+
+    /// Free the value and the op payload (cached kernels, masks, `Rc`
+    /// references) of a node the backward sweep has passed, returning the
+    /// value bytes freed. Leaves keep both: they are parameters and
+    /// constants, not forward results.
+    pub fn release(&mut self) -> usize {
+        if matches!(self.op, Op::Leaf) {
+            return 0;
+        }
+        self.op = Op::Leaf;
+        self.value.take().map_or(0, |v| bytes_of(&v))
     }
 }
 
@@ -170,6 +193,15 @@ pub(crate) enum Op {
         a: Var,
         col: Var,
     },
+    /// Fused `base + Σ_k mul_col(parts[k], slice_cols(weights, k, k + 1))`
+    /// — the flyback sum as one node. Its backward reads only `parts` and
+    /// `weights`; the products, partial sums and column slices of the
+    /// unfused chain are never stored.
+    AddWeightedCols {
+        base: Var,
+        parts: Vec<Var>,
+        weights: Var,
+    },
     ConcatCols(Vec<Var>),
     SliceCols {
         src: Var,
@@ -265,6 +297,8 @@ pub struct Tape {
     /// Test-only fault injection: the next replay of this node index is
     /// perturbed before the fingerprint check (see `corrupt_next_replay`).
     pub(crate) corrupt_replay: Cell<Option<usize>>,
+    /// Set by the first backward sweep, which releases what it passes.
+    pub(crate) swept: Cell<bool>,
 }
 
 impl Tape {
@@ -297,7 +331,9 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if a checkpoint scope dropped the buffer — read segment
-    /// outputs (the `keep` set), not interiors, after a scope closes.
+    /// outputs (the `keep` set), not interiors, after a scope closes — or
+    /// if backward released it: after the sweep only leaves and nodes
+    /// recorded after the loss keep their values.
     pub fn value(&self, v: Var) -> Ref<'_, Matrix> {
         Ref::map(self.nodes.borrow(), |nodes| nodes[v.0].val())
     }
@@ -305,7 +341,7 @@ impl Tape {
     /// Clone the value of a node out of the tape.
     ///
     /// # Panics
-    /// Panics if a checkpoint scope dropped the buffer (see [`Tape::value`]).
+    /// Panics if the buffer was dropped or released (see [`Tape::value`]).
     pub fn value_cloned(&self, v: Var) -> Matrix {
         self.nodes.borrow()[v.0].val().clone()
     }
@@ -321,7 +357,8 @@ impl Tape {
     }
 
     /// Whether the node's value buffer is currently materialised (false
-    /// only for interiors of closed checkpoint scopes).
+    /// for interiors of closed checkpoint scopes and for nodes backward
+    /// has released).
     pub fn is_materialized(&self, v: Var) -> bool {
         self.nodes.borrow()[v.0].value.is_some()
     }
@@ -335,7 +372,8 @@ impl Tape {
 
     /// High-water mark of [`Tape::live_tape_bytes`] since creation or the
     /// last [`Tape::reset_peak_tape_bytes`]. Monotone within a run; covers
-    /// both the forward pass and any backward re-materialisation.
+    /// both the forward pass and any backward re-materialisation. On a
+    /// retaining tape, where backward only frees, it is the forward's.
     pub fn peak_tape_bytes(&self) -> usize {
         self.peak_bytes.get()
     }

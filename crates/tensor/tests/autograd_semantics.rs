@@ -1,8 +1,8 @@
 //! Semantic tests of the autograd engine beyond per-op gradchecks:
 //! gradient accumulation through shared subexpressions, diamond graphs,
-//! multiple backward passes, and failure modes.
+//! the one-sweep tape lifetime, and failure modes.
 
-use mg_tensor::{AdamConfig, Matrix, ParamStore, Tape};
+use mg_tensor::{AdamConfig, Matrix, MgError, ParamStore, Tape};
 use std::rc::Rc;
 
 #[test]
@@ -30,16 +30,26 @@ fn diamond_graph_gradient() {
 }
 
 #[test]
-fn two_backward_passes_on_one_tape() {
+fn a_tape_is_swept_once() {
     let tape = Tape::new();
     let x = tape.leaf(Matrix::full(1, 2, 2.0), true);
     let l1 = tape.sum_all(x);
     let sq = tape.mul_elem(x, x);
     let l2 = tape.sum_all(sq);
     let g1 = tape.backward(l1);
-    let g2 = tape.backward(l2);
     assert_eq!(g1.get(x).unwrap().data(), &[1.0, 1.0]);
-    assert_eq!(g2.get(x).unwrap().data(), &[4.0, 4.0]);
+    // nodes recorded after the first loss keep their values...
+    assert_eq!(tape.value(l2).scalar(), 8.0);
+    // ...but a second sweep over the tape is refused
+    assert!(matches!(
+        tape.try_backward(l2),
+        Err(MgError::InvalidInput { .. })
+    ));
+    // the second loss gets its own tape
+    let tape = Tape::new();
+    let x = tape.leaf(Matrix::full(1, 2, 2.0), true);
+    let l2 = tape.sum_all(tape.mul_elem(x, x));
+    assert_eq!(tape.backward(l2).get(x).unwrap().data(), &[4.0, 4.0]);
 }
 
 #[test]

@@ -312,6 +312,19 @@ fn grad_mul_col() {
 }
 
 #[test]
+fn grad_add_weighted_cols() {
+    let inputs: Vec<Matrix> = (0..4).map(|s| rand_m(4, 3, 140 + s)).collect();
+    let weights = rand_m(4, 3, 144);
+    let rep = check_gradients(&[inputs, vec![weights]].concat(), EPS, |t, v| {
+        let y = t.add_weighted_cols(v[0], &v[1..4], v[4]);
+        // a second reader of a part, recorded after the fused op
+        let z = t.add(y, t.tanh(v[2]));
+        project(t, z, 145)
+    });
+    assert!(rep.ok(TOL), "{rep:?}");
+}
+
+#[test]
 fn grad_concat_and_slice() {
     let rep = check_gradients(&[rand_m(3, 2, 50), rand_m(3, 3, 51)], EPS, |t, v| {
         let y = t.concat_cols(&[v[0], v[1]]);

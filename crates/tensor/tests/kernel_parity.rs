@@ -23,7 +23,7 @@
 
 use std::rc::Rc;
 
-use mg_tensor::{Csr, Matrix, Tape};
+use mg_tensor::{Csr, Matrix, Tape, Var};
 use proptest::prelude::*;
 
 /// Relative tolerance for blocked-vs-scalar comparisons. The kernels do
@@ -462,6 +462,78 @@ fn fused_leaky_relu_matmul_bitwise_matches_unfused_chain() {
     assert_eq!(fga.data(), uga.data(), "grad wrt a");
     assert_eq!(fgb.data(), ugb.data(), "grad wrt b");
     assert!(am.data().iter().any(|&v| v < 0.0) && am.data().iter().any(|&v| v > 0.0));
+}
+
+/// The fused flyback sum against the chain it replaces,
+/// `base + Σ_k mul_col(up_k, slice_cols(β, k, k + 1))`, bit for bit, with
+/// one part and with three. Row 2 of every part is zero under a negative
+/// upstream gradient, so β's gradient column entries there are `-0.0`:
+/// one part keeps it, three parts' zero-column adds turn it into `+0.0`.
+/// β is read by the op alone, so its gradient shows them raw. `base` and
+/// a part are also read before and after the op, so the order in which
+/// contributions land in their buffers is checked too.
+#[test]
+fn fused_add_weighted_cols_bitwise_matches_unfused_chain() {
+    let m = |seed: usize, cols: usize| {
+        Matrix::from_fn(6, cols, |i, j| {
+            if i == 2 && cols == 4 {
+                0.0
+            } else {
+                ((i * 7 + j * 5 + seed * 3) % 11) as f64 * 0.3 - 1.4
+            }
+        })
+    };
+    let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let run = |fused: bool, k_parts: usize| {
+        let t = Tape::new();
+        let base = t.leaf(m(0, 4), true);
+        let ups: Vec<Var> = (1..=k_parts).map(|s| t.leaf(m(s, 4), true)).collect();
+        let beta = t.leaf(m(9, k_parts), true);
+        let before = t.tanh(base);
+        let y = if fused {
+            t.add_weighted_cols(base, &ups, beta)
+        } else {
+            let mut h = base;
+            for (k, &up) in ups.iter().enumerate() {
+                h = t.add(h, t.mul_col(up, t.slice_cols(beta, k, k + 1)));
+            }
+            h
+        };
+        let after = t.tanh(ups[k_parts - 1]);
+        let weights = t.constant(Matrix::from_fn(6, 4, |i, j| {
+            if i == 2 {
+                -0.5
+            } else {
+                (i + j) as f64 * 0.2 - 0.6
+            }
+        }));
+        let loss = t.add(
+            t.sum_all(t.mul_elem(y, weights)),
+            t.add(
+                t.sum_all(t.mul_elem(before, before)),
+                t.sum_all(t.mul_elem(after, after)),
+            ),
+        );
+        let out = bits(&t.value(y));
+        let g = t.backward(loss);
+        let grads: Vec<Vec<u64>> = [base, beta]
+            .iter()
+            .chain(&ups)
+            .map(|&v| bits(g.get(v).unwrap()))
+            .collect();
+        (out, grads)
+    };
+    for k_parts in [1, 3] {
+        let (fo, fg) = run(true, k_parts);
+        let (uo, ug) = run(false, k_parts);
+        assert_eq!(fo, uo, "forward value, {k_parts} parts");
+        for (k, (f, u)) in fg.iter().zip(&ug).enumerate() {
+            assert_eq!(f, u, "gradient of input {k}, {k_parts} parts");
+        }
+        // the signed zero the chain leaves in β's gradient, row 2
+        let neg = f64::from_bits(ug[1][2 * k_parts]).is_sign_negative();
+        assert_eq!(neg, k_parts == 1, "{k_parts} parts");
+    }
 }
 
 // -- dispatch parity across pool widths ----------------------------------

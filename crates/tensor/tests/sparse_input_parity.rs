@@ -82,11 +82,12 @@ fn assert_parity(x: &Matrix, w: &Matrix, g: &Matrix) {
         let wv = tape.leaf(w.clone(), true);
         let y = tape.spmm(csr.clone(), v, wv);
         let loss = tape.sum_all(tape.mul_elem(y, tape.constant(g.clone())));
+        let tape_fwd = tape.value_cloned(y);
         let grads = tape.backward(loss);
         (
             csr.spmm(&vals, w),
             csr.spmm_t(&vals, g),
-            tape.value_cloned(y),
+            tape_fwd,
             grads.get(wv).expect("w requires grad").clone(),
         )
     }) {

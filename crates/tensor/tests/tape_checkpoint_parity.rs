@@ -1,13 +1,14 @@
 //! Differential parity: checkpointed tape vs retaining tape.
 //!
 //! A random op chain (matmul / spmm / the fused spmm+bias+relu,
-//! matmul+leaky-relu, leaky-relu+matmul and pair-dot ops / map / zip)
-//! with random checkpoint-segment boundaries is executed twice over the
-//! same tape program — once with the scopes active (interiors dropped
-//! after forward, replayed on backward) and once fully retained. The
-//! contract under test is *bitwise*: loss bits, every leaf gradient's
-//! bits, and a tape high-water mark that never exceeds the retained
-//! run's. The same suite compiles unchanged under `--features parallel`
+//! matmul+leaky-relu, leaky-relu+matmul, weighted-column-sum and pair-dot
+//! ops / map / zip) with random checkpoint-segment boundaries is executed
+//! twice over the same tape program — once with the scopes active
+//! (interiors dropped after forward, replayed on backward) and once fully
+//! retained. The contract under test is *bitwise*: loss bits, every leaf
+//! gradient's bits, and a tape high-water mark that never exceeds the
+//! retained run's. Either way, backward leaves only the leaves' bytes
+//! live. The same suite compiles unchanged under `--features parallel`
 //! (swept across pools 1..=4 below) and `--features fast-kernels`
 //! (different kernels, same within-build bitwise promise).
 //!
@@ -42,6 +43,7 @@ enum Step {
     SpmmBiasRelu,
     MatmulLeakyRelu { pick: usize },
     LeakyReluMatmul { pick: usize },
+    AddWeightedCols { pick: usize },
     PairDot,
     ScopeBegin,
     ScopeEnd,
@@ -69,7 +71,7 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             ops_in_scope = 0;
         }
         let pick = rng.random_range(0..64usize);
-        steps.push(match rng.random_range(0..11u32) {
+        steps.push(match rng.random_range(0..12u32) {
             0 => Step::Matmul { pick },
             1 => Step::Add { pick },
             2 => Step::MulElem { pick },
@@ -80,6 +82,7 @@ fn gen_program(seed: u64, len: usize) -> Vec<Step> {
             7 => Step::SpmmBiasRelu,
             8 => Step::MatmulLeakyRelu { pick },
             9 => Step::LeakyReluMatmul { pick },
+            10 => Step::AddWeightedCols { pick },
             _ => Step::PairDot,
         });
         if in_scope {
@@ -142,6 +145,8 @@ struct RunOut {
     gvals: Option<Matrix>,
     gbias: Option<Matrix>,
     peak: usize,
+    /// Live tape bytes once backward has swept the tape.
+    live_after: usize,
 }
 
 /// Execute `program` on a fresh tape. When `ckpt` is false the scope
@@ -195,6 +200,12 @@ fn run(program: &[Step], inp: &Inputs, ckpt: bool) -> RunOut {
             Step::SpmmBiasRelu => head = tape.spmm_bias_relu(inp.csr.clone(), vals, head, bias),
             Step::MatmulLeakyRelu { pick } => head = tape.matmul_leaky_relu(head, arg(pick), 0.2),
             Step::LeakyReluMatmul { pick } => head = tape.leaky_relu_matmul(head, arg(pick), 0.2),
+            Step::AddWeightedCols { pick } => {
+                // the flyback shape: attention weights from the head,
+                // weighting an earlier value and the head itself
+                let beta = tape.softmax_rows(tape.slice_cols(head, 0, 2));
+                head = tape.add_weighted_cols(head, &[arg(pick), head], beta);
+            }
             Step::PairDot => {
                 // the fitness shape: sigmoid of the pair scores, then a
                 // second reader of `head` recorded after the fused op
@@ -209,15 +220,25 @@ fn run(program: &[Step], inp: &Inputs, ckpt: bool) -> RunOut {
         }
     }
     let loss = tape.mean_all(tape.mul_elem(head, head));
+    let loss_value = tape.value_cloned(loss);
     let grads = tape.backward(loss);
     RunOut {
-        loss: tape.value_cloned(loss),
+        loss: loss_value,
         gx0: grads.get(x0).unwrap().clone(),
         gw: grads.get(w).cloned(),
         gvals: grads.get(vals).cloned(),
         gbias: grads.get(bias).cloned(),
         peak: tape.peak_tape_bytes(),
+        live_after: tape.live_tape_bytes(),
     }
+}
+
+/// Bytes of the four leaves `run` records: all a swept tape still holds.
+fn leaf_bytes(inp: &Inputs) -> usize {
+    8 * [&inp.x0, &inp.w, &inp.vals, &inp.bias]
+        .iter()
+        .map(|m| m.len())
+        .sum::<usize>()
 }
 
 fn assert_parity(seed: u64, len: usize) {
@@ -242,6 +263,9 @@ fn assert_parity(seed: u64, len: usize) {
         ckpt.peak,
         retained.peak
     );
+    // the sweep released every forward value; only the leaves are left
+    assert_eq!(retained.live_after, leaf_bytes(&inp), "seed {seed}");
+    assert_eq!(ckpt.live_after, leaf_bytes(&inp), "seed {seed}");
 }
 
 proptest! {
@@ -260,7 +284,8 @@ proptest! {
 /// must come out *strictly* below the retained run's (a single trailing
 /// scope cannot lower the peak — it is reached before the scope-end
 /// drop). Interiors must be gone both after forward and after backward
-/// (the sweep re-drops them as it passes below each segment).
+/// (the sweep re-drops them as it passes below each segment, and
+/// releases the kept outputs with them).
 #[test]
 fn interiors_are_dropped_and_redropped() {
     let build = |ckpt: bool| {
@@ -297,18 +322,20 @@ fn interiors_are_dropped_and_redropped() {
     for v in kept {
         assert!(tape.is_materialized(v), "kept output must survive");
     }
+    let loss_value = tape.value_cloned(loss);
     let grads = tape.backward(loss);
-    for v in interiors {
+    for v in interiors.into_iter().chain(kept) {
         assert!(
             !tape.is_materialized(v),
-            "interior must be re-dropped after backward"
+            "segment nodes must be released after backward"
         );
     }
+    assert!(tape.is_materialized(x), "leaves outlive the sweep");
 
     // same chain fully retained: identical bits, strictly higher peak
     let (tape2, x2, _, _, loss2) = build(false);
+    assert_eq!(loss_value, tape2.value_cloned(loss2));
     let grads2 = tape2.backward(loss2);
-    assert_eq!(tape.value_cloned(loss), tape2.value_cloned(loss2));
     assert_eq!(grads.get(x).unwrap(), grads2.get(x2).unwrap());
     assert!(
         tape.peak_tape_bytes() < tape2.peak_tape_bytes(),
@@ -334,9 +361,10 @@ fn checkpoint_scope_closure_matches_manual() {
             tape.matmul(b, w)
         });
         let loss = tape.sum_all(h);
+        let loss_value = tape.value_cloned(loss);
         let grads = tape.backward(loss);
         (
-            tape.value_cloned(loss),
+            loss_value,
             grads.get(x).unwrap().clone(),
             grads.get(w).unwrap().clone(),
         )
@@ -351,9 +379,10 @@ fn checkpoint_scope_closure_matches_manual() {
         let h = tape.matmul(b, w);
         tape.end_checkpoint(scope, &[h]);
         let loss = tape.sum_all(h);
+        let loss_value = tape.value_cloned(loss);
         let grads = tape.backward(loss);
         (
-            tape.value_cloned(loss),
+            loss_value,
             grads.get(x).unwrap().clone(),
             grads.get(w).unwrap().clone(),
         )
@@ -363,23 +392,29 @@ fn checkpoint_scope_closure_matches_manual() {
 
 /// Fault injection: a recomputed buffer that does not reproduce the
 /// recorded fingerprint must surface as `MgError::Corrupt` from
-/// `try_backward` — never as silently wrong gradients. The hook is
-/// one-shot and the error is raised before the bad value is stored, so
-/// a retry on the same tape succeeds and still matches the retained
-/// run bitwise.
+/// `try_backward` — never as silently wrong gradients. The failed sweep
+/// has released what it passed, so a retry on the same tape is refused;
+/// the same program on a fresh checkpointed tape, uncorrupted, matches
+/// the retained run bitwise.
 #[test]
 fn corrupted_replay_is_a_typed_error_not_wrong_gradients() {
     let inp = gen_inputs(11);
-    let tape = Tape::new();
-    let x = tape.leaf(inp.x0.clone(), true);
-    let w = tape.leaf(inp.w.clone(), true);
-    let scope = tape.begin_checkpoint();
-    let a = tape.matmul(x, w);
-    let b = tape.tanh(a);
-    let c = tape.matmul(b, w);
-    tape.end_checkpoint(scope, &[c]);
-    let loss = tape.mean_all(tape.mul_elem(c, c));
+    let build = |ckpt: bool| {
+        let tape = Tape::new();
+        let x = tape.leaf(inp.x0.clone(), true);
+        let w = tape.leaf(inp.w.clone(), true);
+        let scope = ckpt.then(|| tape.begin_checkpoint());
+        let a = tape.matmul(x, w);
+        let b = tape.tanh(a);
+        let c = tape.matmul(b, w);
+        if let Some(scope) = scope {
+            tape.end_checkpoint(scope, &[c]);
+        }
+        let loss = tape.mean_all(tape.mul_elem(c, c));
+        (tape, x, w, b, loss)
+    };
 
+    let (tape, _, _, b, loss) = build(true);
     tape.corrupt_next_replay(b);
     let err = match tape.try_backward(loss) {
         Err(e) => e,
@@ -395,18 +430,14 @@ fn corrupted_replay_is_a_typed_error_not_wrong_gradients() {
         }
         other => panic!("expected MgError::Corrupt, got {other:?}"),
     }
+    assert!(matches!(
+        tape.try_backward(loss),
+        Err(MgError::InvalidInput { .. })
+    ));
 
-    // the hook is one-shot: an uncorrupted retry succeeds...
+    let (tape, x, w, _, loss) = build(true);
     let grads = tape.try_backward(loss).expect("clean replay must succeed");
-
-    // ...and agrees bitwise with a fully retained run.
-    let tape2 = Tape::new();
-    let x2 = tape2.leaf(inp.x0.clone(), true);
-    let w2 = tape2.leaf(inp.w.clone(), true);
-    let a2 = tape2.matmul(x2, w2);
-    let b2 = tape2.tanh(a2);
-    let c2 = tape2.matmul(b2, w2);
-    let loss2 = tape2.mean_all(tape2.mul_elem(c2, c2));
+    let (tape2, x2, w2, _, loss2) = build(false);
     let grads2 = tape2.backward(loss2);
     assert_eq!(grads.get(x).unwrap(), grads2.get(x2).unwrap());
     assert_eq!(grads.get(w).unwrap(), grads2.get(w2).unwrap());

@@ -15,9 +15,9 @@ use mg_nn::testkit::{seeds, two_community_ctx};
 use mg_tensor::{Matrix, ParamStore, Tape};
 
 /// Scoped `peak_tape_bytes` of the frozen forward below.
-const FROZEN_PEAK_TAPE_BYTES: usize = 24_384;
+const FROZEN_PEAK_TAPE_BYTES: usize = 21_904;
 /// Nodes the frozen forward records on the tape.
-const FROZEN_TAPE_OPS: usize = 101;
+const FROZEN_TAPE_OPS: usize = 96;
 
 /// One eval-mode forward of a 2-level, hidden-16 AdamGNN on the
 /// two-community fixture (the `tape_counters.rs` model), over a frozen
