@@ -21,7 +21,7 @@ use mg_graph::{gcn_norm, Topology};
 use mg_nn::{Activation, GcnLayer, GraphCtx};
 use mg_obs::Json;
 use mg_runtime::{with_pool, Pool};
-use mg_tensor::{Matrix, ParamStore, Tape};
+use mg_tensor::{Isa, Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -50,7 +50,7 @@ impl OpTiming {
 
 /// A single-thread kernel-variant comparison: the shipped baseline
 /// kernel against an alternative implementation of the same product
-/// (blocked vs scalar matmul, fused vs unfused spmm chain). Both run on
+/// (tiled vs scalar matmul, fused vs unfused spmm chain). Both run on
 /// the calling thread, so the ratio is a pure kernel-quality number that
 /// is meaningful even on a one-core host where pool speedups are not.
 #[derive(Clone, Debug)]
@@ -203,13 +203,14 @@ pub fn run_suite(threads: usize, samples: usize) -> Vec<OpTiming> {
     out
 }
 
-/// Time the kernel variants single-threaded: the blocked matmul family
-/// against the scalar kernels at 512³, and the fused spmm+bias+ReLU
+/// Time the kernel variants single-threaded: the register-tiled matmul
+/// family (in the compilation this CPU runs) against the scalar kernels
+/// at 512³, and the fused spmm+bias+ReLU
 /// against the unfused three-pass chain the GCN layer used to run
 /// (spmm, then a bias broadcast materialising the pre-activation, then
-/// an elementwise ReLU). The blocked entry points are always compiled,
-/// so this works in every feature mode.
+/// an elementwise ReLU).
 pub fn run_variant_suite(samples: usize) -> Vec<VariantTiming> {
+    let isa = Isa::detect();
     let mut rng = StdRng::seed_from_u64(0);
     let a512 = Matrix::uniform(512, 512, -1.0, 1.0, &mut rng);
     let b512 = Matrix::uniform(512, 512, -1.0, 1.0, &mut rng);
@@ -238,34 +239,34 @@ pub fn run_variant_suite(samples: usize) -> Vec<VariantTiming> {
     record(
         "matmul_512x512x512",
         "scalar",
-        "blocked",
+        "tiled",
         &|| {
             black_box(a512.matmul_serial(&b512));
         },
         &|| {
-            black_box(a512.matmul_blocked(&b512));
+            black_box(a512.matmul_tiled(&b512, isa));
         },
     );
     record(
         "matmul_tn_512",
         "scalar",
-        "blocked",
+        "tiled",
         &|| {
             black_box(a512.matmul_tn_serial(&b512));
         },
         &|| {
-            black_box(a512.matmul_tn_blocked(&b512));
+            black_box(a512.matmul_tn_tiled(&b512, isa));
         },
     );
     record(
         "matmul_nt_512",
         "scalar",
-        "blocked",
+        "tiled",
         &|| {
             black_box(a512.matmul_nt_serial(&b512));
         },
         &|| {
-            black_box(a512.matmul_nt_blocked(&b512));
+            black_box(a512.matmul_nt_tiled(&b512, isa));
         },
     );
     record(
@@ -371,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn variant_suite_covers_blocked_and_fused() {
+    fn variant_suite_covers_tiled_and_fused() {
         let variants = run_variant_suite(1);
         assert!(variants
             .iter()

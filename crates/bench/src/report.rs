@@ -40,10 +40,6 @@ fn write(name: &str, body: Json) -> Result<PathBuf, String> {
         ("bench", name.into()),
         ("host_threads", host_threads().into()),
         ("parallel_feature", cfg!(feature = "parallel").into()),
-        (
-            "fast_kernels_feature",
-            cfg!(feature = "fast-kernels").into(),
-        ),
     ];
     doc.extend(header.map(|(k, v): (&str, Json)| (k.to_string(), v)));
     let doc = Json::Obj(doc);
@@ -102,9 +98,7 @@ mod tests {
         assert_eq!(v.get("bench").and_then(Json::as_str), Some("unit"));
         let threads = v.get("host_threads").and_then(Json::as_f64);
         assert_eq!(threads, Some(host_threads() as f64));
-        for key in ["parallel_feature", "fast_kernels_feature"] {
-            assert!(matches!(v.get(key), Some(Json::Bool(_))), "{key}");
-        }
+        assert!(matches!(v.get("parallel_feature"), Some(Json::Bool(_))));
         let row = &v.get("rows").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(row.get("x").and_then(Json::as_f64), Some(0.1));
         assert_eq!(v.get("label").and_then(Json::as_str), Some("a\"b"));

@@ -51,8 +51,11 @@ impl MinibatchConfig {
 
     /// Reject a configuration that cannot form a batch.
     pub(crate) fn check(&self) -> Result<(), MgError> {
-        if self.batch_size == 0 || self.fanouts.is_empty() {
-            let detail = "minibatch needs batch_size >= 1 and at least one fanout".into();
+        if self.batch_size == 0 || self.fanouts.is_empty() || self.fanouts.contains(&0) {
+            // a zero fanout samples no neighbours: every batch would train
+            // on an edgeless subgraph
+            let detail =
+                "minibatch needs batch_size >= 1 and at least one fanout, each >= 1".into();
             return Err(MgError::InvalidInput { detail });
         }
         Ok(())

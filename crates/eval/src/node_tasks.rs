@@ -9,7 +9,7 @@ use crate::clustering::{bce_pair_batch, kmeans, nmi, PairBatch};
 use crate::metrics::{accuracy, pair_scores, roc_auc};
 use crate::minibatch::{Batch, MinibatchConfig, Sampled};
 use crate::models::{AnyNodeModel, NodeModelKind};
-use crate::session::RunOutcome;
+use crate::session::{RunOutcome, SessionKind};
 use crate::telemetry::LossTerms;
 use crate::trainer::{train, CkptHooks, Job, Step, StepResult, Task};
 use adamgnn_core::{kl_loss, reconstruction_loss, total_loss, AdamGnnOutput, FrozenStructure};
@@ -41,6 +41,34 @@ pub struct TrainConfig {
     /// Pooling operator AdamGNN models coarsen with (Table-4 rivals run
     /// behind the same trait). Ignored by the flat baselines.
     pub pooling: PoolingKind,
+}
+
+impl TrainConfig {
+    /// Reject a configuration that no model of `kind` can train: a zero
+    /// hidden width, or zero levels for a model that pools level by level
+    /// (AdamGNN under every pooling operator, and the TOPKPOOL and
+    /// SAGPOOL graph classifiers). [`crate::TrainSession::run`] calls
+    /// this before anything is built.
+    pub fn check(&self, kind: &SessionKind) -> Result<(), MgError> {
+        use crate::models::GraphModelKind as G;
+        if self.hidden == 0 {
+            let detail = "hidden must be >= 1: a zero-width model has nothing to train".into();
+            return Err(MgError::InvalidInput { detail });
+        }
+        let pools = match kind {
+            SessionKind::NodeClassification(m)
+            | SessionKind::LinkPrediction(m)
+            | SessionKind::NodeClustering(m) => *m == NodeModelKind::AdamGnn,
+            SessionKind::GraphClassification(m) => {
+                matches!(m, G::AdamGnn | G::TopKPool | G::SagPool)
+            }
+        };
+        if pools && self.levels == 0 {
+            let detail = "levels must be >= 1 for a model that pools level by level".into();
+            return Err(MgError::InvalidInput { detail });
+        }
+        Ok(())
+    }
 }
 
 impl Default for TrainConfig {

@@ -184,6 +184,7 @@ impl TrainSession {
                     .into(),
             });
         }
+        self.cfg.check(&self.kind)?;
         let mb = self.minibatch.as_ref();
         if let Some(mb) = mb {
             mb.check()?;
@@ -316,6 +317,7 @@ pub(crate) fn from_ckpt_config(c: &CkptConfig) -> TrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adamgnn_core::PoolingKind;
 
     #[test]
     fn config_roundtrips_through_ckpt_mirror() {
@@ -428,6 +430,117 @@ mod tests {
         )
         .run(&ds);
         assert!(matches!(err, Err(MgError::InvalidInput { .. })));
+    }
+
+    fn tiny_cora() -> NodeDataset {
+        mg_data::make_node_dataset(
+            mg_data::NodeDatasetKind::Cora,
+            &mg_data::NodeGenConfig {
+                scale: 0.05,
+                max_feat_dim: 16,
+                seed: 0,
+            },
+        )
+    }
+
+    fn assert_invalid(got: Result<RunOutcome, MgError>, what: &str) {
+        assert!(
+            matches!(got, Err(MgError::InvalidInput { .. })),
+            "{what}: {:?}",
+            got.map(|o| o.test_metric)
+        );
+    }
+
+    /// Zero levels used to panic in `AdamGnn::new` under every pooling
+    /// operator; it is now a typed error before anything is built.
+    #[test]
+    fn zero_levels_fails_closed_for_adamgnn() {
+        let ds = tiny_cora();
+        for pooling in [
+            PoolingKind::AdamGnn,
+            PoolingKind::Asap,
+            PoolingKind::SpaPool,
+        ] {
+            let cfg = TrainConfig {
+                epochs: 1,
+                hidden: 8,
+                levels: 0,
+                pooling,
+                ..Default::default()
+            };
+            let kind = SessionKind::NodeClassification(NodeModelKind::AdamGnn);
+            assert_invalid(
+                TrainSession::new(kind, &cfg).run(&ds),
+                &format!("{pooling:?}"),
+            );
+        }
+    }
+
+    /// Zero levels used to panic in `TopKGc::new`.
+    #[test]
+    fn zero_levels_fails_closed_for_topk_graph_classifier() {
+        let graphs = mg_data::make_graph_dataset(
+            mg_data::GraphDatasetKind::Mutag,
+            &mg_data::GraphGenConfig {
+                scale: 0.02,
+                max_nodes: 20,
+                seed: 0,
+            },
+        );
+        let cfg = TrainConfig {
+            epochs: 1,
+            hidden: 8,
+            levels: 0,
+            ..Default::default()
+        };
+        let kind = SessionKind::GraphClassification(GraphModelKind::TopKPool);
+        assert_invalid(TrainSession::new(kind, &cfg).run(&graphs), "TopKPool");
+    }
+
+    /// A zero hidden width used to return `Ok` under AdamGNN and ASAP
+    /// pooling (training nothing) and a non-finite error under SpaPool.
+    #[test]
+    fn zero_hidden_fails_closed() {
+        let ds = tiny_cora();
+        for pooling in [
+            PoolingKind::AdamGnn,
+            PoolingKind::Asap,
+            PoolingKind::SpaPool,
+        ] {
+            let cfg = TrainConfig {
+                epochs: 1,
+                hidden: 0,
+                levels: 2,
+                pooling,
+                ..Default::default()
+            };
+            let kind = SessionKind::NodeClassification(NodeModelKind::AdamGnn);
+            assert_invalid(
+                TrainSession::new(kind, &cfg).run(&ds),
+                &format!("{pooling:?}"),
+            );
+        }
+    }
+
+    /// A zero fanout used to train silently on edgeless subgraphs.
+    #[test]
+    fn zero_fanout_fails_closed() {
+        let ds = tiny_cora();
+        let cfg = TrainConfig {
+            epochs: 1,
+            hidden: 8,
+            levels: 2,
+            ..Default::default()
+        };
+        for fanouts in [vec![0, 0], vec![4, 0]] {
+            let kind = SessionKind::NodeClassification(NodeModelKind::AdamGnn);
+            let mb = MinibatchConfig {
+                batch_size: 16,
+                fanouts: fanouts.clone(),
+            };
+            let got = TrainSession::new(kind, &cfg).minibatch(mb).run(&ds);
+            assert_invalid(got, &format!("fanouts {fanouts:?}"));
+        }
     }
 
     /// A NaN in the inputs poisons the loss: every trainer must fail

@@ -30,8 +30,9 @@
 use crate::checkpoint::{segment_containing, Segment};
 use crate::error::MgError;
 use crate::matrix::Matrix;
-use crate::ops::{leaky_relu, sigmoid, softmax_rows, KlStats};
-use crate::tape::{bytes_of, Gradients, Node, Op, Tape, Var};
+use crate::ops::{leaky_relu, sigmoid, softmax_rows};
+use crate::tape::{Gradients, KlCache, Node, Op, Tape, Var};
+use crate::tile::{dispatched, Isa};
 
 impl Tape {
     /// Run reverse-mode differentiation from the scalar `loss` node,
@@ -487,7 +488,7 @@ impl Tape {
                     let gs = g.scalar() / nodes[h.0].shape.0 as f64;
                     acc!(
                         *h,
-                        student_t_kl_grad(nodes[h.0].val(), egos, &cache.t, target.as_deref(), gs)
+                        student_t_kl_grad(nodes[h.0].val(), egos, cache, target.as_deref(), gs)
                     );
                 }
                 Op::Exp(a) => {
@@ -544,12 +545,8 @@ impl Tape {
         );
         debug_assert_eq!(
             self.live_bytes.get(),
-            nodes
-                .iter()
-                .filter_map(|n| n.value.as_ref())
-                .map(bytes_of)
-                .sum::<usize>(),
-            "live bytes are exactly the values left on the tape"
+            nodes.iter().map(Node::held_bytes).sum::<usize>(),
+            "live bytes are exactly the values and payloads left on the tape"
         );
         Ok(Gradients { grads })
     }
@@ -586,57 +583,181 @@ impl Tape {
 /// `dL/dh` of the Student-t KL loss with `P` detached, scaled by `gs`
 /// (the upstream gradient over `n`, the loss being a mean over nodes).
 ///
-/// Rows of `Q` and `P` are streamed from [`KlStats`], never stored. Each
-/// element of the result accumulates in the (j, c, k) order of the plain
-/// triple loop: rows `j` and `e` are updated as two disjoint slices, and
-/// the `e == j` terms keep the scalar loop so `gh_j += c·0; gh_j -= c·0`
-/// runs in its original order.
+/// Rows of `Q` and `P` are streamed from the cached
+/// [`KlStats`](crate::ops::KlStats), never stored. Each element of the
+/// result accumulates in the (j, c, k) order of the plain triple loop
+/// (see [`kl_grad_body`]).
 fn student_t_kl_grad(
     hv: &Matrix,
     egos: &[usize],
-    t: &Matrix,
+    cache: &KlCache,
     target: Option<&Matrix>,
     gs: f64,
 ) -> Matrix {
     mg_runtime::timed("student_t_kl_grad", || {
-        let (n, d) = hv.shape();
-        let m = egos.len();
-        let stats = KlStats::new(t);
-        let (mut q, mut self_p) = (vec![0.0f64; m], vec![0.0f64; m]);
-        let mut gh = Matrix::zeros(n, d);
-        for j in 0..n {
-            let p = stats.rows(t, j, target, &mut q, &mut self_p);
-            let t_row_sum = stats.row_sum(j);
-            for (c, &e) in egos.iter().enumerate() {
+        let mut gh = Matrix::zeros(hv.rows(), hv.cols());
+        kl_grad(Isa::detect(), hv, egos, cache, target, gs, &mut gh);
+        gh
+    })
+}
+
+/// [`student_t_kl_grad`] into the zeroed `gh`.
+///
+/// A row `j` that is not an ego takes only its own `+=` terms, in
+/// ascending `c`, and gives one `-=` term to each ego row. So when no
+/// ego repeats, up to four consecutive non-ego rows run as one pass
+/// ([`kl_grad_rows`]): `c` outer, the rows in order inside, so every ego
+/// row still takes its terms in ascending `j`, and each ego row is
+/// loaded and stored once per pass instead of once per row. Ego rows,
+/// which also take `-=` terms from themselves and from every other row,
+/// run one at a time on the scalar path ([`kl_grad_ego_row`]); when an
+/// ego repeats, every row runs alone.
+#[inline(always)]
+fn kl_grad_body(
+    hv: &Matrix,
+    egos: &[usize],
+    cache: &KlCache,
+    target: Option<&Matrix>,
+    gs: f64,
+    gh: &mut Matrix,
+) {
+    let n = hv.rows();
+    let m = egos.len();
+    let mut is_ego = vec![false; n];
+    let mut repeats = false;
+    for &e in egos {
+        repeats |= std::mem::replace(&mut is_ego[e], true);
+    }
+    let (mut q, mut self_p) = (vec![0.0f64; m], vec![0.0f64; m]);
+    // coefficients of up to four rows, `coefs[c * 4 + r]`
+    let mut coefs = vec![None; 4 * m];
+    let mut j = 0;
+    while j < n {
+        let rows = if is_ego[j] || repeats {
+            1
+        } else {
+            is_ego[j..n.min(j + 4)]
+                .iter()
+                .position(|&e| e)
+                .unwrap_or(n.min(j + 4) - j)
+        };
+        for r in 0..rows {
+            let p = cache
+                .stats
+                .rows(&cache.t, j + r, target, &mut q, &mut self_p);
+            let t_row_sum = cache.stats.row_sum(j + r);
+            for (c, slot) in coefs.iter_mut().skip(r).step_by(4).enumerate() {
                 // dL/dt_jc with P detached:
                 //   (1/T_j) (1 - p/q) -- scaled by gs (mean over n)
                 let qv = q[c];
-                if qv <= 0.0 {
-                    continue;
+                *slot = (qv > 0.0).then(|| {
+                    let dl_dt = gs * (1.0 - p[c] / qv) / t_row_sum;
+                    let tv = cache.t[(j + r, c)];
+                    dl_dt * (-tv * tv) * 2.0
+                });
+            }
+        }
+        match rows {
+            _ if is_ego[j] => kl_grad_ego_row(hv, egos, j, &coefs, gh),
+            4 => kl_grad_rows::<4>(hv, egos, j, &coefs, gh),
+            3 => kl_grad_rows::<3>(hv, egos, j, &coefs, gh),
+            2 => kl_grad_rows::<2>(hv, egos, j, &coefs, gh),
+            _ => kl_grad_rows::<1>(hv, egos, j, &coefs, gh),
+        }
+        j += rows;
+    }
+}
+
+dispatched!(kl_grad => kl_grad_body(
+    hv: &Matrix,
+    egos: &[usize],
+    cache: &KlCache,
+    target: Option<&Matrix>,
+    gs: f64,
+    gh: &mut Matrix,
+));
+
+/// Ego row `j`'s terms, `coefs[c * 4]` for ego `c` (`None` skips it), in
+/// ascending `c`: rows `j` and `e` are updated as two disjoint slices,
+/// and the `e == j` terms keep the scalar loop so
+/// `gh_j += c·0; gh_j -= c·0` runs in its original order.
+#[inline(always)]
+fn kl_grad_ego_row(hv: &Matrix, egos: &[usize], j: usize, coefs: &[Option<f64>], gh: &mut Matrix) {
+    let d = hv.cols();
+    for (&e, coef) in egos.iter().zip(coefs.iter().step_by(4)) {
+        let Some(coef) = *coef else { continue };
+        let rows = [j * d..(j + 1) * d, e * d..(e + 1) * d];
+        if let Ok([gj, ge]) = gh.data_mut().get_disjoint_mut(rows) {
+            kl_term(coef, hv.row(j), hv.row(e), gj, ge);
+        } else {
+            // e == j
+            for k in 0..d {
+                let diff = hv[(j, k)] - hv[(e, k)];
+                gh[(j, k)] += coef * diff;
+                gh[(e, k)] -= coef * diff;
+            }
+        }
+    }
+}
+
+/// The terms of the `R` non-ego rows `j..j + R`, with `coefs[c * 4 + r]`
+/// for row `j + r` and ego `c` (`None` skips the term): for each ego in
+/// ascending `c`, then each `k`, the rows' `+=` terms and the ego row's
+/// `-=` terms in ascending row order, the ego element held in a register
+/// across the rows. Each element takes the same terms in the same order
+/// as `R` one-row passes.
+#[inline(always)]
+fn kl_grad_rows<const R: usize>(
+    hv: &Matrix,
+    egos: &[usize],
+    j: usize,
+    coefs: &[Option<f64>],
+    gh: &mut Matrix,
+) {
+    let d = hv.cols();
+    let h: [&[f64]; R] = std::array::from_fn(|r| &hv.row(j + r)[..d]);
+    for (&e, cs) in egos.iter().zip(coefs.chunks_exact(4)) {
+        let he = &hv.row(e)[..d];
+        let slices = [j * d..(j + R) * d, e * d..(e + 1) * d];
+        let [block, ge] = gh
+            .data_mut()
+            .get_disjoint_mut(slices)
+            .expect("a pass holds no ego row");
+        let ge = &mut ge[..d];
+        let mut block = block.chunks_exact_mut(d);
+        let g: [&mut [f64]; R] = std::array::from_fn(|_| block.next().unwrap());
+        if cs[..R].iter().all(Option::is_some) {
+            let cs: [f64; R] = std::array::from_fn(|r| cs[r].unwrap());
+            for k in 0..d {
+                let b = he[k];
+                let mut oe = ge[k];
+                for r in 0..R {
+                    let diff = h[r][k] - b;
+                    g[r][k] += cs[r] * diff;
+                    oe -= cs[r] * diff;
                 }
-                let dl_dt = gs * (1.0 - p[c] / qv) / t_row_sum;
-                let tv = t[(j, c)];
-                let coef = dl_dt * (-tv * tv) * 2.0;
-                let rows = [j * d..(j + 1) * d, e * d..(e + 1) * d];
-                if let Ok([gj, ge]) = gh.data_mut().get_disjoint_mut(rows) {
-                    for (((oj, oe), &a), &b) in gj.iter_mut().zip(ge).zip(hv.row(j)).zip(hv.row(e))
-                    {
-                        let diff = a - b;
-                        *oj += coef * diff;
-                        *oe -= coef * diff;
-                    }
-                } else {
-                    // e == j
-                    for k in 0..d {
-                        let diff = hv[(j, k)] - hv[(e, k)];
-                        gh[(j, k)] += coef * diff;
-                        gh[(e, k)] -= coef * diff;
-                    }
+                ge[k] = oe;
+            }
+        } else {
+            for ((&hj, gj), coef) in h.iter().zip(g).zip(cs) {
+                if let Some(coef) = *coef {
+                    kl_term(coef, hj, he, gj, ge);
                 }
             }
         }
-        gh
-    })
+    }
+}
+
+/// One (j, c) term over `k`: `g_j += coef·(h_j - h_e)` and
+/// `g_e -= coef·(h_j - h_e)`. Separate slice arguments tell the compiler
+/// the rows do not overlap, so the loop vectorizes without alias checks.
+#[inline(always)]
+fn kl_term(coef: f64, hj: &[f64], he: &[f64], gj: &mut [f64], ge: &mut [f64]) {
+    for (((oj, oe), &a), &b) in gj.iter_mut().zip(ge).zip(hj).zip(he) {
+        let diff = a - b;
+        *oj += coef * diff;
+        *oe -= coef * diff;
+    }
 }
 
 /// Numerically stable softmax re-export used by the backward pass tests.

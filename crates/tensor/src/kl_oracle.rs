@@ -193,3 +193,44 @@ fn public_target_matches_dense_oracle() {
     let got = crate::ops::student_t_target(&h, &egos);
     assert_eq!(bits(&got), bits(&distributions(&kernel(&h, &egos)).1));
 }
+
+/// The backward runs up to four consecutive non-ego rows as one pass.
+/// Runs of 1 to 9 non-ego rows between egos, starting at every offset,
+/// put an ego row at every position mod 4 and leave passes of every
+/// length; `d` is not a multiple of 8, and row 12 is a copy of row 0, so
+/// some (row, ego) pairs are at distance zero.
+#[test]
+fn every_run_of_non_ego_rows_matches_dense_oracle() {
+    for d in [5, 11] {
+        let mut h = random_h(41, d, 7);
+        for k in 0..d {
+            h[(12, k)] = h[(0, k)];
+        }
+        for gap in 1..=9 {
+            for start in 0..4 {
+                let egos: Vec<usize> = (start..41).step_by(gap + 1).collect();
+                assert_bitwise(&h, &egos, None, 0.8);
+            }
+        }
+    }
+}
+
+/// Ego counts one past and one short of the kernel's 8-ego tiles, with
+/// and without repeats (a repeat sends every row down the one-row path),
+/// and explicit targets holding exact zeros inside the passes.
+#[test]
+fn tile_tails_repeats_and_zero_targets_match_dense_oracle() {
+    let h = random_h(41, 11, 8);
+    for m in [9, 15, 17, 23] {
+        let egos: Vec<usize> = (0..m).map(|c| (c * 7 + 3) % 41).collect();
+        assert_bitwise(&h, &egos, None, 1.3);
+        let mut repeated = egos.clone();
+        repeated[m - 1] = repeated[1];
+        assert_bitwise(&h, &repeated, None, 1.3);
+        let mut target = distributions(&kernel(&random_h(41, 11, 9), &egos)).1;
+        for j in [0, 1, 5, 6, 13, 40] {
+            target[(j, j % m)] = 0.0;
+        }
+        assert_bitwise(&h, &egos, Some(&target), -0.6);
+    }
+}

@@ -45,6 +45,7 @@ mod optim;
 mod par;
 mod sparse;
 mod tape;
+mod tile;
 
 pub use checkpoint::{CheckpointScope, KeepVars};
 pub use csr::Csr;
@@ -55,3 +56,5 @@ pub use ops::{sigmoid, softmax_rows, student_t_target};
 pub use optim::{AdamConfig, Binding, ParamId, ParamSnapshot, ParamStore};
 pub use sparse::SparseMatrix;
 pub use tape::{Gradients, Tape, Var};
+#[doc(hidden)]
+pub use tile::Isa;

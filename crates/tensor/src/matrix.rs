@@ -2,37 +2,70 @@
 //! autograd engine.
 //!
 //! Graphs in the AdamGNN workloads are small enough (≤ ~5k nodes, ≤ 64
-//! hidden dims) that a straightforward dense matrix with cache-friendly
-//! `ikj` matmul is the right tool; no BLAS dependency is needed.
+//! hidden dims) that a dense matrix with register-tiled products (see
+//! `tile.rs`) is the right tool; no BLAS dependency is needed.
+
+use std::ops::Range;
 
 use crate::par;
+use crate::tile::{self, dispatched, fill, ByDepth, ByRow, Isa};
 use rand::Rng;
 
-/// Inner-dimension unroll width of the blocked matmul kernels: each pass
-/// over an output row folds in 8 `k` terms as one expression, giving the
-/// autovectorizer 8 independent multiplies per output element and
-/// amortising the output-row load/store over 8 mul-adds.
-const KB: usize = 8;
-
-/// k-panel height of the blocked kernels: the `KC x n` panel of the
-/// B-operand (64 x 512 doubles = 256 KiB) stays L2-resident while every
-/// output row of the chunk streams across it, so B is read `k / KC`
-/// times total instead of once per output row. A multiple of [`KB`] so
-/// full panels have no scalar remainder.
-const KC: usize = 64;
-
-/// True when the blocked kernels may take their AVX2-compiled path.
-///
-/// Dispatch is a pure performance choice: the AVX2 and baseline
-/// compilations inline the *same* Rust expression tree, and rustc never
-/// enables floating-point contraction, so both produce bitwise-identical
-/// results — vector width changes scheduling, not rounding.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2_available() -> bool {
-    // std caches the cpuid probe behind an atomic, so this is cheap.
-    std::arch::is_x86_feature_detected!("avx2")
+/// A `rows x width` result whose row blocks `body` fills, split across
+/// the ambient pool in chunks of at least `min_rows` rows.
+fn product(
+    rows: usize,
+    width: usize,
+    min_rows: usize,
+    body: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) -> Matrix {
+    let mut out = Matrix::zeros(rows, width);
+    par::for_each_row_block(&mut out.data, rows, width, min_rows, body);
+    out
 }
+
+/// Output rows `range` of `a · b` into `block`: 4 x 8 tiles, or eight
+/// rows' dot products side by side when `b` has one column.
+#[inline(always)]
+fn nn_rows_body(a: &Matrix, b: &Matrix, range: Range<usize>, block: &mut [f64]) {
+    let lhs = ByRow {
+        data: &a.data,
+        stride: a.cols,
+    };
+    let rhs = ByDepth {
+        data: &b.data,
+        stride: b.cols,
+    };
+    if b.cols == 1 {
+        fill::<8, 1>(&lhs, &rhs, a.cols, range, 1, block, tile::product);
+    } else {
+        fill::<4, 8>(&lhs, &rhs, a.cols, range, b.cols, block, tile::product);
+    }
+}
+
+dispatched!(nn_rows => nn_rows_body(a: &Matrix, b: &Matrix, range: Range<usize>, block: &mut [f64]));
+
+/// Output rows `range` of `aᵀ · b` into `block`: 4 x 8 tiles, or, when
+/// `b` has one column, sixteen contiguous elements of each row of `a`
+/// scaled by `b`'s entry and added (an axpy per `k`).
+#[inline(always)]
+fn tn_rows_body(a: &Matrix, b: &Matrix, range: Range<usize>, block: &mut [f64]) {
+    let lhs = ByDepth {
+        data: &a.data,
+        stride: a.cols,
+    };
+    let rhs = ByDepth {
+        data: &b.data,
+        stride: b.cols,
+    };
+    if b.cols == 1 {
+        fill::<16, 1>(&lhs, &rhs, a.rows, range, 1, block, tile::product);
+    } else {
+        fill::<4, 8>(&lhs, &rhs, a.rows, range, b.cols, block, tile::product);
+    }
+}
+
+dispatched!(tn_rows => tn_rows_body(a: &Matrix, b: &Matrix, range: Range<usize>, block: &mut [f64]));
 
 /// A dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq)]
@@ -184,8 +217,8 @@ impl Matrix {
     }
 
     /// Compute output rows `range` of `self * rhs` into `block` (the
-    /// rows' contiguous storage). Shared by the serial and parallel
-    /// paths so both produce bitwise-identical rows.
+    /// rows' contiguous storage) with the plain scalar loop: the
+    /// reference the tiled kernels are checked against.
     ///
     /// ## Non-finite propagation contract
     ///
@@ -222,124 +255,75 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self * rhs`, row-partitioned across the ambient
-    /// thread pool when the `parallel` feature is enabled. Chunks are
-    /// sized by estimated work (`k·n` mul-adds per output row), and for
-    /// any thread count the result is bitwise identical to the same
-    /// build's one-thread run. Without `fast-kernels` this is the scalar
-    /// kernel of [`Matrix::matmul_serial`] (the golden path); with it,
-    /// the cache-blocked [`Matrix::matmul_blocked`] kernel.
+    /// Matrix product `self * rhs` in register tiles (see [`crate::tile`]),
+    /// row-partitioned across the ambient thread pool when the `parallel`
+    /// feature is enabled. Chunks are sized by estimated work (`k·n`
+    /// mul-adds per output row). Every element adds its products in
+    /// ascending `k` from `0.0`, so the result is bitwise equal to
+    /// [`Matrix::matmul_serial`] for any input, thread count and ISA.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.check_nn(rhs);
         mg_runtime::timed("matmul", || {
-            let mut out = Matrix::zeros(self.rows, rhs.cols);
+            let isa = Isa::detect();
             let min_rows = par::matmul_chunk_rows(self.cols * rhs.cols);
-            par::for_each_row_block(&mut out.data, self.rows, rhs.cols, min_rows, {
-                |range, block| {
-                    if cfg!(feature = "fast-kernels") {
-                        self.matmul_rows_blocked(rhs, range, block);
-                    } else {
-                        self.matmul_rows(rhs, range, block);
-                    }
-                }
-            });
-            out
+            product(self.rows, rhs.cols, min_rows, |range, block| {
+                nn_rows(isa, self, rhs, range, block)
+            })
         })
     }
 
-    /// [`Matrix::matmul`]'s scalar kernel on the calling thread only —
-    /// the deterministic reference implementation. Default-build runs
-    /// must match it bitwise for any thread count; `fast-kernels` runs
-    /// match it to relative tolerance (see `tests/kernel_parity.rs`).
+    /// [`Matrix::matmul`]'s plain scalar loop on the calling thread only:
+    /// the reference the tiled kernels must match bitwise (see
+    /// `tests/kernel_parity.rs`).
     pub fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.check_nn(rhs);
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_rows(rhs, 0..self.rows, &mut out.data);
         out
     }
 
-    /// Compute output rows `range` of `selfᵀ * rhs` into `block`.
+    /// [`Matrix::matmul`]'s tiled kernel compiled for `isa`, on the
+    /// calling thread. For parity tests.
     ///
-    /// For output row `i` the accumulation over `k` is ascending, the
-    /// same addition order per element as the serial k-outer loop. No
-    /// zero-skip, per the propagation contract on [`Matrix::matmul_rows`].
-    #[cfg(feature = "parallel")]
-    fn matmul_tn_rows(&self, rhs: &Matrix, range: std::ops::Range<usize>, block: &mut [f64]) {
-        let w = rhs.cols;
-        for (bi, i) in range.enumerate() {
-            let out_row = &mut block[bi * w..(bi + 1) * w];
-            for k in 0..self.rows {
-                let a_ki = self.data[k * self.cols + i];
-                let b_row = rhs.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ki * b;
-                }
-            }
-        }
+    /// # Panics
+    /// Panics on inner-dimension mismatch, or if the CPU cannot run `isa`.
+    #[doc(hidden)]
+    pub fn matmul_tiled(&self, rhs: &Matrix, isa: Isa) -> Matrix {
+        self.check_nn(rhs);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        nn_rows(isa, self, rhs, 0..self.rows, &mut out.data);
+        out
     }
 
-    /// `selfᵀ * rhs` without materialising the transpose.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+    fn check_nn(&self, rhs: &Matrix) {
         assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_tn: ({}x{})ᵀ * {}x{}",
+            self.cols, rhs.rows,
+            "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+    }
+
+    /// `selfᵀ * rhs` without materialising the transpose, in register
+    /// tiles; bitwise equal to [`Matrix::matmul_tn_serial`] (see
+    /// [`Matrix::matmul`]).
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        self.check_tn(rhs);
         mg_runtime::timed("matmul_tn", || {
+            let isa = Isa::detect();
             let min_rows = par::matmul_chunk_rows(self.rows * rhs.cols);
-            if cfg!(feature = "fast-kernels") {
-                let mut out = Matrix::zeros(self.cols, rhs.cols);
-                par::for_each_row_block(
-                    &mut out.data,
-                    self.cols,
-                    rhs.cols,
-                    min_rows,
-                    |range, block| self.matmul_tn_rows_blocked(rhs, range, block),
-                );
-                return out;
-            }
-            // The serial loop is k-outer (contiguous reads of `self`);
-            // the parallel loop must be i-outer to own whole output
-            // rows. Both accumulate each element in ascending-k order,
-            // so they agree bitwise — but only split when the pool will
-            // actually parallelise, keeping the fast shape otherwise.
-            #[cfg(feature = "parallel")]
-            if par::use_parallel(self.cols, min_rows) {
-                let mut out = Matrix::zeros(self.cols, rhs.cols);
-                par::for_each_row_block(
-                    &mut out.data,
-                    self.cols,
-                    rhs.cols,
-                    min_rows,
-                    |range, block| self.matmul_tn_rows(rhs, range, block),
-                );
-                return out;
-            }
-            #[cfg(not(feature = "parallel"))]
-            let _ = min_rows;
-            self.matmul_tn_serial(rhs)
+            product(self.cols, rhs.cols, min_rows, |range, block| {
+                tn_rows(isa, self, rhs, range, block)
+            })
         })
     }
 
-    /// [`Matrix::matmul_tn`]'s scalar kernel on the calling thread only
-    /// (see [`Matrix::matmul_serial`] for the reference-role contract).
+    /// [`Matrix::matmul_tn`]'s scalar reference loop on the calling
+    /// thread only (see [`Matrix::matmul_serial`]).
     pub fn matmul_tn_serial(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_tn: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.check_tn(rhs);
         let mut out = Matrix::zeros(self.cols, rhs.cols);
         for k in 0..self.rows {
             let a_row = self.row(k);
@@ -352,6 +336,24 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// [`Matrix::matmul_tn`]'s tiled kernel compiled for `isa` (see
+    /// [`Matrix::matmul_tiled`]).
+    #[doc(hidden)]
+    pub fn matmul_tn_tiled(&self, rhs: &Matrix, isa: Isa) -> Matrix {
+        self.check_tn(rhs);
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        tn_rows(isa, self, rhs, 0..self.cols, &mut out.data);
+        out
+    }
+
+    fn check_tn(&self, rhs: &Matrix) {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "matmul_tn: ({}x{})ᵀ * {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
     }
 
     /// Compute output rows `range` of `self * rhsᵀ` into `block`.
@@ -371,341 +373,48 @@ impl Matrix {
         }
     }
 
-    /// `self * rhsᵀ` without materialising the transpose.
+    /// `self * rhsᵀ`: [`Matrix::matmul`]'s tiled kernel over a transposed
+    /// copy of `rhs` (in the backward pass `rhs` is a layer's weight, so
+    /// the copy is small). Element `(i, j)` is the dot product of row `i`
+    /// and row `j` in ascending `k` from `0.0` either way, so the result
+    /// is bitwise equal to [`Matrix::matmul_nt_serial`].
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.check_nt(rhs);
         mg_runtime::timed("matmul_nt", || {
-            let mut out = Matrix::zeros(self.rows, rhs.rows);
+            let isa = Isa::detect();
+            let rt = rhs.transpose();
             let min_rows = par::matmul_chunk_rows(self.cols * rhs.rows);
-            par::for_each_row_block(&mut out.data, self.rows, rhs.rows, min_rows, {
-                |range, block| {
-                    if cfg!(feature = "fast-kernels") {
-                        self.matmul_nt_rows_blocked(rhs, range, block);
-                    } else {
-                        self.matmul_nt_rows(rhs, range, block);
-                    }
-                }
-            });
-            out
+            product(self.rows, rhs.rows, min_rows, |range, block| {
+                nn_rows(isa, self, &rt, range, block)
+            })
         })
     }
 
-    /// [`Matrix::matmul_nt`]'s scalar kernel on the calling thread only
-    /// (see [`Matrix::matmul_serial`] for the reference-role contract).
+    /// [`Matrix::matmul_nt`]'s scalar reference loop on the calling
+    /// thread only (see [`Matrix::matmul_serial`]).
     pub fn matmul_nt_serial(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.check_nt(rhs);
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_nt_rows(rhs, 0..self.rows, &mut out.data);
         out
     }
 
-    /// Cache-blocked `self * rhs` on the calling thread — the kernel
-    /// [`Matrix::matmul`] dispatches to under `fast-kernels`. Always
-    /// compiled so any build can benchmark or parity-test it.
-    pub fn matmul_blocked(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_rows_blocked(rhs, 0..self.rows, &mut out.data);
+    /// [`Matrix::matmul_nt`]'s tiled kernel compiled for `isa` (see
+    /// [`Matrix::matmul_tiled`]).
+    #[doc(hidden)]
+    pub fn matmul_nt_tiled(&self, rhs: &Matrix, isa: Isa) -> Matrix {
+        self.check_nt(rhs);
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        nn_rows(isa, self, &rhs.transpose(), 0..self.rows, &mut out.data);
         out
     }
 
-    /// Cache-blocked `selfᵀ * rhs` on the calling thread (see
-    /// [`Matrix::matmul_blocked`]).
-    pub fn matmul_tn_blocked(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_tn: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_tn_rows_blocked(rhs, 0..self.cols, &mut out.data);
-        out
-    }
-
-    /// Cache-blocked `self * rhsᵀ` on the calling thread (see
-    /// [`Matrix::matmul_blocked`]).
-    pub fn matmul_nt_blocked(&self, rhs: &Matrix) -> Matrix {
+    fn check_nt(&self, rhs: &Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} * ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_nt_rows_blocked(rhs, 0..self.rows, &mut out.data);
-        out
-    }
-
-    /// Blocked body of `self * rhs` for output rows `range`.
-    ///
-    /// ## Determinism
-    ///
-    /// Per output element the addition order is fixed by the source
-    /// alone: k-panels ascending, eight-term groups left-to-right inside
-    /// a panel, then the scalar remainder ascending. The order never
-    /// depends on how `0..rows` was partitioned, so blocked-parallel is
-    /// bitwise identical to blocked-serial at any pool width (it is
-    /// *not* bitwise equal to the scalar kernel, whose per-element order
-    /// is plain ascending-k — that pairing is tolerance-checked).
-    /// Non-finite operands propagate, same contract as
-    /// [`Matrix::matmul_rows`].
-    #[inline(always)]
-    fn matmul_rows_blocked_impl(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        let w = rhs.cols;
-        let kd = self.cols;
-        let mut kc = 0;
-        while kc < kd {
-            let kc_end = (kc + KC).min(kd);
-            for (bi, i) in range.clone().enumerate() {
-                let a_row = self.row(i);
-                let out_row = &mut block[bi * w..(bi + 1) * w];
-                let mut k = kc;
-                while k + KB <= kc_end {
-                    let a0 = a_row[k];
-                    let a1 = a_row[k + 1];
-                    let a2 = a_row[k + 2];
-                    let a3 = a_row[k + 3];
-                    let a4 = a_row[k + 4];
-                    let a5 = a_row[k + 5];
-                    let a6 = a_row[k + 6];
-                    let a7 = a_row[k + 7];
-                    let b0 = rhs.row(k);
-                    let b1 = rhs.row(k + 1);
-                    let b2 = rhs.row(k + 2);
-                    let b3 = rhs.row(k + 3);
-                    let b4 = rhs.row(k + 4);
-                    let b5 = rhs.row(k + 5);
-                    let b6 = rhs.row(k + 6);
-                    let b7 = rhs.row(k + 7);
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o += a0 * b0[j]
-                            + a1 * b1[j]
-                            + a2 * b2[j]
-                            + a3 * b3[j]
-                            + a4 * b4[j]
-                            + a5 * b5[j]
-                            + a6 * b6[j]
-                            + a7 * b7[j];
-                    }
-                    k += KB;
-                }
-                while k < kc_end {
-                    let a_ik = a_row[k];
-                    let b_row = rhs.row(k);
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ik * b;
-                    }
-                    k += 1;
-                }
-            }
-            kc = kc_end;
-        }
-    }
-
-    /// Blocked body of `selfᵀ * rhs` for output rows `range`: i-outer
-    /// with strided gathers of the A-column, same panel/unroll/remainder
-    /// order (and hence the same determinism argument) as
-    /// [`Matrix::matmul_rows_blocked_impl`].
-    #[inline(always)]
-    fn matmul_tn_rows_blocked_impl(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        let w = rhs.cols;
-        let p = self.cols;
-        let kd = self.rows;
-        let mut kc = 0;
-        while kc < kd {
-            let kc_end = (kc + KC).min(kd);
-            for (bi, i) in range.clone().enumerate() {
-                let out_row = &mut block[bi * w..(bi + 1) * w];
-                let mut k = kc;
-                while k + KB <= kc_end {
-                    let a0 = self.data[k * p + i];
-                    let a1 = self.data[(k + 1) * p + i];
-                    let a2 = self.data[(k + 2) * p + i];
-                    let a3 = self.data[(k + 3) * p + i];
-                    let a4 = self.data[(k + 4) * p + i];
-                    let a5 = self.data[(k + 5) * p + i];
-                    let a6 = self.data[(k + 6) * p + i];
-                    let a7 = self.data[(k + 7) * p + i];
-                    let b0 = rhs.row(k);
-                    let b1 = rhs.row(k + 1);
-                    let b2 = rhs.row(k + 2);
-                    let b3 = rhs.row(k + 3);
-                    let b4 = rhs.row(k + 4);
-                    let b5 = rhs.row(k + 5);
-                    let b6 = rhs.row(k + 6);
-                    let b7 = rhs.row(k + 7);
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o += a0 * b0[j]
-                            + a1 * b1[j]
-                            + a2 * b2[j]
-                            + a3 * b3[j]
-                            + a4 * b4[j]
-                            + a5 * b5[j]
-                            + a6 * b6[j]
-                            + a7 * b7[j];
-                    }
-                    k += KB;
-                }
-                while k < kc_end {
-                    let a_ki = self.data[k * p + i];
-                    let b_row = rhs.row(k);
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ki * b;
-                    }
-                    k += 1;
-                }
-            }
-            kc = kc_end;
-        }
-    }
-
-    /// Blocked body of `self * rhsᵀ` for output rows `range`.
-    ///
-    /// Two changes over the scalar kernel: output columns are tiled in
-    /// [`KC`]-row panels of `rhs` so a panel (256 KiB at k = 512) stays
-    /// cache-resident across every output row of the chunk — the scalar
-    /// kernel streams the whole of `rhs` once per output row — and each
-    /// dot product runs [`KB`] independent accumulator lanes (breaking
-    /// the serial add-latency chain), combined in a fixed tree plus the
-    /// scalar-remainder sum. Each output element is still computed in
-    /// one shot, and lane assignment and the combine tree depend only on
-    /// `k`, so nothing varies with the partition.
-    #[inline(always)]
-    fn matmul_nt_rows_blocked_impl(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        let w = rhs.rows;
-        let kd = self.cols;
-        let mut jc = 0;
-        while jc < w {
-            let jc_end = (jc + KC).min(w);
-            for (bi, i) in range.clone().enumerate() {
-                let a_row = self.row(i);
-                let out_row = &mut block[bi * w..(bi + 1) * w];
-                for (dj, o) in out_row[jc..jc_end].iter_mut().enumerate() {
-                    let b_row = rhs.row(jc + dj);
-                    let mut acc = [0.0f64; KB];
-                    let mut k = 0;
-                    while k + KB <= kd {
-                        let a: &[f64; KB] = a_row[k..k + KB].try_into().unwrap();
-                        let b: &[f64; KB] = b_row[k..k + KB].try_into().unwrap();
-                        for u in 0..KB {
-                            acc[u] += a[u] * b[u];
-                        }
-                        k += KB;
-                    }
-                    let mut tail = 0.0;
-                    while k < kd {
-                        tail += a_row[k] * b_row[k];
-                        k += 1;
-                    }
-                    *o = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                        + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-                        + tail;
-                }
-            }
-            jc = jc_end;
-        }
-    }
-
-    /// AVX2-compiled instantiations of the blocked bodies. Same inlined
-    /// expression tree as the baseline compilation — see
-    /// [`avx2_available`] for why results stay bitwise identical.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_rows_blocked_avx2(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        self.matmul_rows_blocked_impl(rhs, range, block)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_tn_rows_blocked_avx2(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        self.matmul_tn_rows_blocked_impl(rhs, range, block)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_nt_rows_blocked_avx2(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        self.matmul_nt_rows_blocked_impl(rhs, range, block)
-    }
-
-    /// Blocked `self * rhs` body with runtime ISA dispatch.
-    fn matmul_rows_blocked(&self, rhs: &Matrix, range: std::ops::Range<usize>, block: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { return self.matmul_rows_blocked_avx2(rhs, range, block) };
-        }
-        self.matmul_rows_blocked_impl(rhs, range, block)
-    }
-
-    /// Blocked `selfᵀ * rhs` body with runtime ISA dispatch.
-    fn matmul_tn_rows_blocked(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { return self.matmul_tn_rows_blocked_avx2(rhs, range, block) };
-        }
-        self.matmul_tn_rows_blocked_impl(rhs, range, block)
-    }
-
-    /// Blocked `self * rhsᵀ` body with runtime ISA dispatch.
-    fn matmul_nt_rows_blocked(
-        &self,
-        rhs: &Matrix,
-        range: std::ops::Range<usize>,
-        block: &mut [f64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { return self.matmul_nt_rows_blocked_avx2(rhs, range, block) };
-        }
-        self.matmul_nt_rows_blocked_impl(rhs, range, block)
     }
 
     /// Materialised transpose.

@@ -12,11 +12,14 @@
 //! Shape assertions live in [`eval_op`] so shape bugs fail loudly at the
 //! call site (and again, identically, on replay), not three ops later.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use crate::csr::Csr;
 use crate::matrix::Matrix;
+use crate::par;
 use crate::tape::{BceCache, KlCache, Node, Op, Tape, Var};
+use crate::tile::{dispatched, fill, squared_diff, ByDepth, ByRow, Isa};
 
 impl Tape {
     /// Evaluate `op` against the current tape and record the result.
@@ -347,12 +350,13 @@ impl Tape {
             let nodes = self.nodes.borrow();
             student_t_kernel(nodes[h.0].val(), &egos)
         };
+        let stats = KlStats::new(&t);
         let rg = self.rg(h);
         self.record(
             Op::StudentTKl {
                 h,
                 egos,
-                cache: Rc::new(KlCache { t }),
+                cache: Rc::new(KlCache { t, stats }),
                 target,
             },
             rg,
@@ -679,12 +683,11 @@ pub(crate) fn eval_op(nodes: &[Node], op: &Op) -> Matrix {
             Matrix::from_vec(1, 1, vec![acc / pairs.len() as f64])
         }
         Op::StudentTKl { cache, target, .. } => {
-            let t = &cache.t;
+            let (t, stats) = (&cache.t, &cache.stats);
             let (n, m) = t.shape();
             if let Some(p) = target {
                 assert_eq!(p.shape(), (n, m), "student_t_kl: target shape mismatch");
             }
-            let stats = KlStats::new(t);
             let (mut q, mut self_p) = (vec![0.0f64; m], vec![0.0f64; m]);
             let mut loss = 0.0;
             for j in 0..n {
@@ -743,41 +746,50 @@ fn col_means(m: &Matrix) -> Vec<f64> {
 
 /// The Student-t kernel `t[j, c] = (1 + ||h_j - h_{ego_c}||^2)^{-1}`.
 ///
-/// Four egos share one pass over `h_j`, but each squared distance still
-/// accumulates over `k` in ascending order from `0.0`, exactly as a
-/// one-ego loop does, so every entry keeps its bits.
+/// The ego rows are copied once into a k-major `d x m` matrix, so a
+/// register tile (see [`crate::tile`]) holds one ego per vector lane and
+/// four rows `h_j` per pass. Each squared distance still accumulates over
+/// `k` in ascending order from `0.0`, exactly as a one-ego loop does, so
+/// every entry keeps its bits.
 pub(crate) fn student_t_kernel(h: &Matrix, egos: &[usize]) -> Matrix {
     mg_runtime::timed("student_t_kernel", || {
-        let mut t = Matrix::zeros(h.rows(), egos.len());
-        for j in 0..h.rows() {
-            let hj = h.row(j);
-            let mut quads = egos.chunks_exact(4);
-            let mut out = t.row_mut(j).chunks_exact_mut(4);
-            for (e, o) in (&mut quads).zip(&mut out) {
-                let (r0, r1, r2, r3) = (h.row(e[0]), h.row(e[1]), h.row(e[2]), h.row(e[3]));
-                let mut d2 = [0.0f64; 4];
-                for ((((&a, &b0), &b1), &b2), &b3) in hj.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                    let diff = [a - b0, a - b1, a - b2, a - b3];
-                    for (acc, x) in d2.iter_mut().zip(diff) {
-                        *acc += x * x;
-                    }
-                }
-                for (o, d2) in o.iter_mut().zip(d2) {
-                    *o = 1.0 / (1.0 + d2);
-                }
-            }
-            for (o, &e) in out.into_remainder().iter_mut().zip(quads.remainder()) {
-                let mut d2 = 0.0;
-                for (a, b) in hj.iter().zip(h.row(e)) {
-                    let diff = a - b;
-                    d2 += diff * diff;
-                }
-                *o = 1.0 / (1.0 + d2);
-            }
-        }
+        let (n, d, m) = (h.rows(), h.cols(), egos.len());
+        let ego_cols = Matrix::from_fn(d, m, |k, c| h[(egos[c], k)]);
+        let isa = Isa::detect();
+        let mut t = Matrix::zeros(n, m);
+        let min_rows = par::matmul_chunk_rows(d * m);
+        par::for_each_row_block(t.data_mut(), n, m, min_rows, |range, block| {
+            student_t_rows(isa, h, &ego_cols, range, block)
+        });
         t
     })
 }
+
+/// Rows `range` of the Student-t kernel into `block`, from `h` and the
+/// k-major ego copy `ego_cols`.
+#[inline(always)]
+fn student_t_rows_body(h: &Matrix, ego_cols: &Matrix, range: Range<usize>, block: &mut [f64]) {
+    let lhs = ByRow {
+        data: h.data(),
+        stride: h.cols(),
+    };
+    let rhs = ByDepth {
+        data: ego_cols.data(),
+        stride: ego_cols.cols(),
+    };
+    let m = ego_cols.cols();
+    fill::<4, 8>(&lhs, &rhs, h.cols(), range, m, block, squared_diff);
+    for o in block {
+        *o = 1.0 / (1.0 + *o);
+    }
+}
+
+dispatched!(student_t_rows => student_t_rows_body(
+    h: &Matrix,
+    ego_cols: &Matrix,
+    range: Range<usize>,
+    block: &mut [f64],
+));
 
 /// Elementwise leaky ReLU: `x` where `x > 0`, else `slope * x`.
 pub(crate) fn leaky_relu(m: &Matrix, slope: f64) -> Matrix {
@@ -876,6 +888,11 @@ impl KlStats {
             }
         }
         KlStats { row_sum, g }
+    }
+
+    /// Number of `f64`s held.
+    pub(crate) fn len(&self) -> usize {
+        self.row_sum.len() + self.g.len()
     }
 
     /// `Σ_c t_jc`.

@@ -28,6 +28,7 @@ use std::rc::Rc;
 use crate::checkpoint::Segment;
 use crate::csr::Csr;
 use crate::matrix::Matrix;
+use crate::ops::KlStats;
 
 /// Handle to a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,14 +67,20 @@ impl Node {
 
     /// Free the value and the op payload (cached kernels, masks, `Rc`
     /// references) of a node the backward sweep has passed, returning the
-    /// value bytes freed. Leaves keep both: they are parameters and
-    /// constants, not forward results.
+    /// value and payload bytes freed. Leaves keep both: they are
+    /// parameters and constants, not forward results.
     pub fn release(&mut self) -> usize {
         if matches!(self.op, Op::Leaf) {
             return 0;
         }
-        self.op = Op::Leaf;
-        self.value.take().map_or(0, |v| bytes_of(&v))
+        let payload = std::mem::replace(&mut self.op, Op::Leaf).payload_bytes();
+        payload + self.value.take().map_or(0, |v| bytes_of(&v))
+    }
+
+    /// Bytes this node holds on the tape: its value, if materialised,
+    /// and its op payload.
+    pub fn held_bytes(&self) -> usize {
+        self.value.as_ref().map_or(0, bytes_of) + self.op.payload_bytes()
     }
 }
 
@@ -87,12 +94,32 @@ pub(crate) fn bytes_of(m: &Matrix) -> usize {
 pub(crate) struct KlCache {
     /// `t[j, i] = (1 + ||h_j - h_{ego_i}||^2)^{-1}`, shape `n x m`.
     pub t: Matrix,
+    /// Row sums and cluster frequencies of `t`, built once at record
+    /// time for the loss and reused by the backward.
+    pub stats: KlStats,
 }
 
 /// Cached forward state for edge-pair BCE-with-logits.
 pub(crate) struct BceCache {
     /// Raw logits `z_k = h_i . h_j` per pair.
     pub logits: Vec<f64>,
+}
+
+impl Op {
+    /// Bytes of the buffers the op keeps for its backward: the Student-t
+    /// kernel and its statistics, the BCE logits, the dropout mask. They
+    /// count toward [`Tape::live_tape_bytes`] from the moment the op is
+    /// recorded until backward releases it; the other payloads are index
+    /// lists shared with the caller, or a few scalars.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        let f64s = match self {
+            Op::StudentTKl { cache, .. } => cache.t.len() + cache.stats.len(),
+            Op::BcePairs { cache, .. } => cache.logits.len(),
+            Op::Dropout { mask, .. } => mask.len(),
+            _ => 0,
+        };
+        f64s * std::mem::size_of::<f64>()
+    }
 }
 
 /// The operation that produced a node. Payloads are input handles plus
@@ -363,9 +390,10 @@ impl Tape {
         self.nodes.borrow()[v.0].value.is_some()
     }
 
-    /// Bytes currently held by materialised node value buffers. Gradient
-    /// buffers and op payloads (masks, cached logits) are not counted —
-    /// this tracks exactly what checkpointing can reclaim.
+    /// Bytes currently held by materialised node value buffers and by the
+    /// op payloads backward reads (the Student-t kernel, BCE logits,
+    /// dropout masks; see `Op::payload_bytes`). Gradient buffers are not
+    /// counted.
     pub fn live_tape_bytes(&self) -> usize {
         self.live_bytes.get()
     }
@@ -405,7 +433,7 @@ impl Tape {
 
     pub(crate) fn push(&self, value: Matrix, op: Op, requires_grad: bool) -> Var {
         debug_assert!(value.all_finite(), "non-finite value pushed to tape");
-        self.add_live_bytes(bytes_of(&value));
+        self.add_live_bytes(bytes_of(&value) + op.payload_bytes());
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
             shape: value.shape(),

@@ -2,15 +2,16 @@
 //!
 //! Three concerns live here:
 //!
-//! 1. **Blocked-vs-scalar parity.** The blocked kernels reassociate the
-//!    k-sum (8-wide unrolling, kc-panels), so against the scalar golden
-//!    path they are compared under a relative tolerance — except on
-//!    inputs where every intermediate is exactly representable (small
-//!    integers), where any summation order gives the same bits and we
-//!    demand exact equality.
-//! 2. **Non-finite propagation.** All three product kernels — scalar,
-//!    blocked, and the dispatched entry points — must propagate NaN/Inf
-//!    from either operand, even when the matching lhs entry is `0.0`
+//! 1. **Tiled-vs-scalar parity, bitwise.** The register-tiled kernels
+//!    (`Matrix::matmul`, `matmul_tn`, `matmul_nt`) add each element's
+//!    products in ascending `k` from `0.0`, exactly as the scalar
+//!    `*_serial` loops do, so they must match them bit for bit — on every
+//!    shape, on the tile edges, with signed zeros, infinities and NaN in
+//!    the operands, and in both compilations (baseline and AVX2), which
+//!    are called directly.
+//! 2. **Non-finite propagation.** All product kernels — scalar, tiled,
+//!    and the dispatched entry points — must propagate NaN/Inf from
+//!    either operand, even when the matching lhs entry is `0.0`
 //!    (`0.0 * NaN = NaN`, `0.0 * inf = NaN`). This pins the resolved
 //!    zero-skip contract: dense kernels never skip on a zero operand.
 //! 3. **Fused spmm+bias+ReLU equivalence.** The fused kernel and tape op
@@ -23,124 +24,186 @@
 
 use std::rc::Rc;
 
-use mg_tensor::{Csr, Matrix, Tape, Var};
-use proptest::prelude::*;
+use mg_tensor::{Csr, Isa, Matrix, Tape, Var};
 
-/// Relative tolerance for blocked-vs-scalar comparisons. The kernels do
-/// the same multiplies in a different association order; for the sizes
-/// tested (k < 100, |entries| <= 10) the reassociation error is far
-/// below this.
-const REL_TOL: f64 = 1e-12;
+// -- tiled vs scalar: bitwise ---------------------------------------------
 
-fn assert_close(got: &Matrix, want: &Matrix, what: &str) {
-    assert_eq!(got.shape(), want.shape(), "{what}: shape mismatch");
-    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        let scale = 1.0f64.max(g.abs()).max(w.abs());
-        assert!(
-            (g - w).abs() <= REL_TOL * scale,
-            "{what}: entry {i} diverged: got {g}, want {w}"
-        );
+/// The compilations this CPU can run.
+fn isas() -> Vec<Isa> {
+    [Isa::Baseline, Isa::Avx2]
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect()
+}
+
+/// Bits of every entry, each NaN as the one canonical NaN: IEEE-754 lets
+/// an operation on two NaNs return either one's payload, and a compiler
+/// may commute `x * y`, so only NaN-ness is part of the contract.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.data()
+        .iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// A `rows x cols` operand of pseudo-random full-mantissa values in
+/// `[-2, 2)`. With `poison`, its first and last rows and columns (tile
+/// and tail positions both) also hold `-0.0`, `+inf`, `-inf` and NaN.
+fn operand(rows: usize, cols: usize, seed: u64, poison: bool) -> Matrix {
+    let mut m = Matrix::from_fn(rows, cols, |i, j| {
+        let mut z = seed ^ ((i as u64) << 32 | j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+    });
+    if poison && rows * cols > 0 {
+        let specials = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let spots = [(0, 0), (rows - 1, cols - 1), (0, cols - 1), (rows - 1, 0)];
+        for (k, (&(i, j), v)) in spots.iter().zip(specials).enumerate() {
+            // spread the specials over the depth, not only its ends
+            let j = if cols > 4 { (j + k * 3) % cols } else { j };
+            m[(i, j)] = v;
+        }
+        // a row of `-0.0`: its finite products are signed zeros, and a
+        // sum of them must stay the `+0.0` it starts from
+        for j in 0..cols {
+            m[(rows / 2, j)] = -0.0;
+        }
+    }
+    m
+}
+
+/// Every `(rows, cols, depth)` to test: rows 1-9, 16, 17 and 33 (the 4-,
+/// 8- and 16-row tiles and their tails), cols 1-17 (the 8-wide tiles,
+/// their tails, and a one-column operand), depth 0, 1 (a one-column
+/// left operand) and 2,708 (the Cora node count); the deep products use
+/// the edge cases of each only.
+fn shapes() -> Vec<(usize, usize, usize)> {
+    let rows: Vec<usize> = (1..=9).chain([16, 17, 33]).collect();
+    let mut out = Vec::new();
+    for &r in &rows {
+        for c in 1..=17 {
+            for k in [0, 1, 2708] {
+                let edge = [1, 4, 5, 9, 17, 33].contains(&r) && [1, 7, 8, 9, 16, 17].contains(&c);
+                if k < 2708 || edge {
+                    out.push((r, c, k));
+                }
+            }
+        }
+    }
+    out
+}
+
+type Kernel = fn(&Matrix, &Matrix, Isa) -> Matrix;
+type Serial = fn(&Matrix, &Matrix) -> Matrix;
+
+/// Each tiled product with its scalar reference and its operands' shapes
+/// for an `r x c` output of depth `k`.
+#[allow(clippy::type_complexity)]
+const PRODUCTS: [(
+    &str,
+    Kernel,
+    Serial,
+    fn(usize, usize, usize) -> [(usize, usize); 2],
+); 3] = [
+    (
+        "matmul",
+        |a, b, isa| a.matmul_tiled(b, isa),
+        |a, b| a.matmul_serial(b),
+        |r, c, k| [(r, k), (k, c)],
+    ),
+    (
+        "matmul_tn",
+        |a, b, isa| a.matmul_tn_tiled(b, isa),
+        |a, b| a.matmul_tn_serial(b),
+        |r, c, k| [(k, r), (k, c)],
+    ),
+    (
+        "matmul_nt",
+        |a, b, isa| a.matmul_nt_tiled(b, isa),
+        |a, b| a.matmul_nt_serial(b),
+        |r, c, k| [(r, k), (c, k)],
+    ),
+];
+
+#[test]
+fn tiled_kernels_match_scalar_loops_bitwise() {
+    for (name, tiled, serial, dims) in PRODUCTS {
+        for (r, c, k) in shapes() {
+            let [(ar, ac), (br, bc)] = dims(r, c, k);
+            for poison in [false, true] {
+                let a = operand(ar, ac, 1, poison);
+                let b = operand(br, bc, 2, poison);
+                let want = bits(&serial(&a, &b));
+                for isa in isas() {
+                    assert_eq!(
+                        bits(&tiled(&a, &b, isa)),
+                        want,
+                        "{name} {r}x{c} depth {k}, {isa:?}, poison {poison}"
+                    );
+                }
+            }
+        }
     }
 }
 
-fn matrix(
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-) -> impl Strategy<Value = Matrix> {
-    (rows, cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-10.0..10.0f64, r * c)
-            .prop_map(move |data| Matrix::from_vec(r, c, data))
-    })
-}
-
-/// Small-integer-valued matrix: every product and partial sum in a
-/// matmul over these is an exactly-representable integer, so *any*
-/// summation order yields identical bits.
-fn int_matrix(
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-) -> impl Strategy<Value = Matrix> {
-    (rows, cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-4i8..=4, r * c)
-            .prop_map(move |data| Matrix::from_vec(r, c, data.into_iter().map(f64::from).collect()))
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // -- blocked vs scalar: tolerance on general inputs ------------------
-
-    #[test]
-    fn blocked_matmul_close_to_scalar(a in matrix(1..24, 1..90), c in 1..24usize) {
-        // k up to 90 crosses the KC=64 panel boundary and the 8-wide
-        // unroll remainder.
-        let b = Matrix::from_fn(a.cols(), c, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
-        assert_close(&a.matmul_blocked(&b), &a.matmul_serial(&b), "matmul");
-    }
-
-    #[test]
-    fn blocked_matmul_tn_close_to_scalar(a in matrix(1..90, 1..16), q in 1..16usize) {
-        // a: k x m, b: k x q -> aT b is m x q; k up to 90 crosses KC.
-        let b = Matrix::from_fn(a.rows(), q, |i, j| ((i * 17 + j * 5) % 11) as f64 - 5.0);
-        assert_close(&a.matmul_tn_blocked(&b), &a.matmul_tn_serial(&b), "matmul_tn");
-    }
-
-    #[test]
-    fn blocked_matmul_nt_close_to_scalar(a in matrix(1..24, 1..90), q in 1..80usize) {
-        // a: n x p, b: q x p -> a bT is n x q; q up to 80 crosses the
-        // nt kernel's jc-tile boundary, p up to 90 crosses the unroll.
-        let b = Matrix::from_fn(q, a.cols(), |i, j| ((i * 23 + j * 3) % 9) as f64 - 4.0);
-        assert_close(&a.matmul_nt_blocked(&b), &a.matmul_nt_serial(&b), "matmul_nt");
-    }
-
-    // -- blocked vs scalar: bitwise on exactly-representable inputs ------
-
-    #[test]
-    fn blocked_kernels_bitwise_on_integer_inputs(a in int_matrix(1..12, 1..70), c in 1..12usize) {
-        let b = Matrix::from_fn(a.cols(), c, |i, j| ((i * 7 + j * 3) % 9) as f64 - 4.0);
-        prop_assert_eq!(a.matmul_blocked(&b).data(), a.matmul_serial(&b).data());
-        let bt = Matrix::from_fn(c, a.cols(), |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
-        prop_assert_eq!(a.matmul_nt_blocked(&bt).data(), a.matmul_nt_serial(&bt).data());
-        let btn = Matrix::from_fn(a.rows(), c, |i, j| ((i + j * 11) % 9) as f64 - 4.0);
-        prop_assert_eq!(a.matmul_tn_blocked(&btn).data(), a.matmul_tn_serial(&btn).data());
-    }
+/// The dispatched entry points are the tiled kernels: same bits as the
+/// scalar loops on a Cora-shaped product and its one-column forms.
+#[test]
+fn dispatched_kernels_match_scalar_loops_bitwise() {
+    let h = operand(2708, 64, 3, true);
+    let w = operand(64, 64, 4, false);
+    let w1 = operand(64, 1, 5, false);
+    let g = operand(2708, 64, 6, false);
+    let g1 = operand(2708, 1, 7, false);
+    assert_eq!(bits(&h.matmul(&w)), bits(&h.matmul_serial(&w)));
+    assert_eq!(bits(&h.matmul(&w1)), bits(&h.matmul_serial(&w1)));
+    assert_eq!(bits(&g.matmul_nt(&w)), bits(&g.matmul_nt_serial(&w)));
+    assert_eq!(bits(&g1.matmul_nt(&w1)), bits(&g1.matmul_nt_serial(&w1)));
+    assert_eq!(bits(&h.matmul_tn(&g)), bits(&h.matmul_tn_serial(&g)));
+    assert_eq!(bits(&h.matmul_tn(&g1)), bits(&h.matmul_tn_serial(&g1)));
 }
 
 // -- non-finite propagation (resolved zero-skip contract) ----------------
 
-/// Every way to run each product, including the dispatched entry points
-/// (which take the blocked path under `fast-kernels` and the scalar path
-/// otherwise) — the contract must hold for all of them.
-type KernelFn = fn(&Matrix, &Matrix) -> Matrix;
+/// Every way to run each product: the scalar loop, the dispatched entry
+/// point and each tiled compilation this CPU can run — the contract must
+/// hold for all of them.
+type KernelFn = Box<dyn Fn(&Matrix, &Matrix) -> Matrix>;
 
-fn mm_variants() -> [(&'static str, KernelFn); 3] {
-    [
-        ("matmul_serial", |a, b| a.matmul_serial(b)),
-        ("matmul_blocked", |a, b| a.matmul_blocked(b)),
-        ("matmul", |a, b| a.matmul(b)),
-    ]
+fn variants(which: usize) -> Vec<(String, KernelFn)> {
+    let (name, tiled, serial, _) = PRODUCTS[which];
+    let dispatched: Serial = match which {
+        0 => |a, b| a.matmul(b),
+        1 => |a, b| a.matmul_tn(b),
+        _ => |a, b| a.matmul_nt(b),
+    };
+    let mut out: Vec<(String, KernelFn)> = vec![
+        (format!("{name}_serial"), Box::new(serial)),
+        (name.to_string(), Box::new(dispatched)),
+    ];
+    for isa in isas() {
+        out.push((
+            format!("{name}_tiled {isa:?}"),
+            Box::new(move |a, b| tiled(a, b, isa)),
+        ));
+    }
+    out
 }
 
-fn tn_variants() -> [(&'static str, KernelFn); 3] {
-    [
-        ("matmul_tn_serial", |a, b| a.matmul_tn_serial(b)),
-        ("matmul_tn_blocked", |a, b| a.matmul_tn_blocked(b)),
-        ("matmul_tn", |a, b| a.matmul_tn(b)),
-    ]
+fn mm_variants() -> Vec<(String, KernelFn)> {
+    variants(0)
 }
 
-fn nt_variants() -> [(&'static str, KernelFn); 3] {
-    [
-        ("matmul_nt_serial", |a, b| a.matmul_nt_serial(b)),
-        ("matmul_nt_blocked", |a, b| a.matmul_nt_blocked(b)),
-        ("matmul_nt", |a, b| a.matmul_nt(b)),
-    ]
+fn tn_variants() -> Vec<(String, KernelFn)> {
+    variants(1)
 }
 
-/// k values probing the unrolled body (poison inside the first 8-group),
-/// the scalar remainder (poison past the last full 8-group), and a kc
-/// panel crossing.
+fn nt_variants() -> Vec<(String, KernelFn)> {
+    variants(2)
+}
+
+/// k values with the poison early, late, and past 64 in the depth.
 const NAN_CASES: [(usize, usize); 4] = [(5, 2), (19, 17), (19, 4), (70, 66)];
 
 // In every case below the poison index is paired with a `0.0` lhs entry
@@ -539,9 +602,7 @@ fn fused_add_weighted_cols_bitwise_matches_unfused_chain() {
 // -- dispatch parity across pool widths ----------------------------------
 
 /// The dispatched entry points must be bitwise-stable across pool widths
-/// 1..=4 and equal to the same build's serial reference (scalar by
-/// default, blocked under `fast-kernels`). The scalar-vs-blocked pairing
-/// is the *tolerance* comparison above; this one is exact.
+/// 1..=4 and equal to the scalar references.
 #[cfg(feature = "parallel")]
 mod pool_dispatch {
     use super::*;
@@ -553,19 +614,11 @@ mod pool_dispatch {
         let a = Matrix::from_fn(96, 70, |i, j| ((i * 3 + j * 13) % 23) as f64 * 0.25 - 2.5);
         let b = Matrix::from_fn(70, 50, |i, j| ((i * 5 + j * 7) % 17) as f64 * 0.5 - 4.0);
         let bt = Matrix::from_fn(50, 70, |i, j| ((i * 11 + j) % 13) as f64 * 0.75 - 4.5);
-        let (mm_ref, tn_ref, nt_ref) = if cfg!(feature = "fast-kernels") {
-            (
-                a.matmul_blocked(&b),
-                a.matmul_tn_blocked(&a),
-                a.matmul_nt_blocked(&bt),
-            )
-        } else {
-            (
-                a.matmul_serial(&b),
-                a.matmul_tn_serial(&a),
-                a.matmul_nt_serial(&bt),
-            )
-        };
+        let (mm_ref, tn_ref, nt_ref) = (
+            a.matmul_serial(&b),
+            a.matmul_tn_serial(&a),
+            a.matmul_nt_serial(&bt),
+        );
         for threads in 1..=4 {
             let pool = Arc::new(Pool::new(threads));
             let (mm, tn, nt) =

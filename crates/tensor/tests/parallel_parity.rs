@@ -25,33 +25,18 @@ fn pools() -> impl Iterator<Item = Arc<Pool>> {
     THREADS.map(|k| Arc::new(Pool::new(k)))
 }
 
-/// Bitwise references for the dispatched matmul family. The parallel
-/// contract is always "bitwise equal to the same build's serial run":
-/// by default that serial run is the scalar kernel, under `fast-kernels`
-/// it is the blocked kernel (the scalar-vs-blocked pairing is
-/// tolerance-checked in `kernel_parity.rs`, not here).
+/// Bitwise references for the dispatched matmul family: the scalar
+/// loops, which the register-tiled kernels match for any partition.
 fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
-    if cfg!(feature = "fast-kernels") {
-        a.matmul_blocked(b)
-    } else {
-        a.matmul_serial(b)
-    }
+    a.matmul_serial(b)
 }
 
 fn matmul_tn_ref(a: &Matrix, b: &Matrix) -> Matrix {
-    if cfg!(feature = "fast-kernels") {
-        a.matmul_tn_blocked(b)
-    } else {
-        a.matmul_tn_serial(b)
-    }
+    a.matmul_tn_serial(b)
 }
 
 fn matmul_nt_ref(a: &Matrix, b: &Matrix) -> Matrix {
-    if cfg!(feature = "fast-kernels") {
-        a.matmul_nt_blocked(b)
-    } else {
-        a.matmul_nt_serial(b)
-    }
+    a.matmul_nt_serial(b)
 }
 
 /// Strategy: a random matrix with the given shape bounds. Shapes go well
@@ -278,4 +263,46 @@ fn one_thread_degrades_to_serial() {
     assert_eq!(mm, matmul_ref(&a, &b));
     assert_eq!(tn, matmul_tn_ref(&a, &a));
     assert_eq!(nt, matmul_nt_ref(&a, &a));
+}
+
+/// A 4-thread pool cuts these outputs into 16 (or, for the Student-t
+/// kernel, 4) row chunks of 62-63, 44-45 and 250 rows: none a multiple of
+/// the 4-row register tile, so every chunk ends in 1-row tail tiles that
+/// a one-thread run computes inside full tiles. The bits must not move.
+#[test]
+fn tiled_kernels_bitwise_on_uneven_four_thread_chunks() {
+    let pool = Arc::new(Pool::new(4));
+    let one = Arc::new(Pool::new(1));
+    let m = |r: usize, c: usize, s: usize| {
+        Matrix::from_fn(r, c, |i, j| {
+            ((i * 31 + j * 17 + s) % 23) as f64 * 0.37 - 4.1
+        })
+    };
+    // nn and nt: 1000 output rows over 64 x 64 (min chunk 32 rows)
+    let (a, b) = (m(1000, 64, 1), m(64, 64, 2));
+    let nn = with_pool(pool.clone(), || a.matmul(&b));
+    assert_eq!(nn.data(), a.matmul_serial(&b).data(), "matmul");
+    let nt = with_pool(pool.clone(), || a.matmul_nt(&b));
+    assert_eq!(nt.data(), a.matmul_nt_serial(&b).data(), "matmul_nt");
+    // tn: 530 output rows, depth 50, 64 wide (min chunk 41 rows)
+    let (a, b) = (m(50, 530, 3), m(50, 64, 4));
+    let tn = with_pool(pool.clone(), || a.matmul_tn(&b));
+    assert_eq!(tn.data(), a.matmul_tn_serial(&b).data(), "matmul_tn");
+    // Student-t kernel: 1000 rows of 16 x 37 (min chunk 222 rows)
+    let h = m(1000, 16, 5);
+    let egos = Rc::new((0..37).map(|c| c * 27).collect::<Vec<_>>());
+    let kl = |pool: &Arc<Pool>| {
+        with_pool(pool.clone(), || {
+            let tape = Tape::new();
+            let hv = tape.leaf(h.clone(), true);
+            let loss = tape.student_t_kl(hv, egos.clone());
+            let value = tape.value(loss).scalar().to_bits();
+            let grad = tape.backward(loss).get(hv).unwrap().clone();
+            (
+                value,
+                grad.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            )
+        })
+    };
+    assert_eq!(kl(&pool), kl(&one), "student_t_kl loss and gradient");
 }

@@ -7,9 +7,8 @@
 //! `spmm_t`. For finite operands both must equal the dense scalar
 //! kernels to the bit: each skipped term is a `±0.0` product, and every
 //! output element adds the remaining terms in the same ascending order.
-//! `spmm` is never blocked, so the reference is the scalar kernel in
-//! every feature mode. Under `parallel` the kernels are also swept over
-//! pools of several widths.
+//! The reference is the scalar kernel. Under `parallel` the kernels are
+//! also swept over pools of several widths.
 
 use std::rc::Rc;
 

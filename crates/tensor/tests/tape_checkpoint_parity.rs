@@ -9,8 +9,7 @@
 //! gradient's bits, and a tape high-water mark that never exceeds the
 //! retained run's. Either way, backward leaves only the leaves' bytes
 //! live. The same suite compiles unchanged under `--features parallel`
-//! (swept across pools 1..=4 below) and `--features fast-kernels`
-//! (different kernels, same within-build bitwise promise).
+//! (swept across pools 1..=4 below).
 //!
 //! Also here: the fault-injection test for the replay fingerprint check
 //! — a corrupted recomputed buffer must surface as a typed

@@ -73,10 +73,7 @@ fn checkpointed_tape_matches_retained_same_build() {
 }
 
 /// Checkpointed runs reproduce the checked-in serial goldens bit for
-/// bit — 3/3 tasks. Compiled out under `fast-kernels` (the blocked
-/// kernels reassociate sums; the goldens stay pinned to the scalar
-/// path), same as every other against-golden check.
-#[cfg(not(feature = "fast-kernels"))]
+/// bit — 3/3 tasks.
 #[test]
 fn checkpointed_tape_reproduces_goldens() {
     use mg_verify::{check_against_file, goldens_dir};
@@ -94,15 +91,10 @@ mod parallel {
     use super::{assert_identical, RUNS};
     use adamgnn_core::with_ckpt_tape;
     use mg_verify::with_threads;
-    #[cfg(not(feature = "fast-kernels"))]
     use mg_verify::{check_against_file, goldens_dir, Compare};
 
     /// Every pool width reproduces the serial build's checked-in goldens
-    /// bit for bit. Compiled out under `fast-kernels`: the blocked
-    /// kernels reassociate sums, so only the within-build checks
-    /// (`reruns_are_bitwise_repeatable`, `variant_runs_agree_across_pool_widths`)
-    /// apply there — the goldens themselves stay pinned to the scalar path.
-    #[cfg(not(feature = "fast-kernels"))]
+    /// bit for bit.
     #[test]
     fn all_pool_widths_reproduce_serial_goldens() {
         for threads in 1..=4 {

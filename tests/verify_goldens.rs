@@ -14,15 +14,6 @@
 //! The parallel build runs these same tests: PR 1's kernel determinism
 //! means every pool width must reproduce the serial traces bit for bit
 //! (the differential fuzzer sweeps pool widths explicitly).
-//!
-//! Under `--features fast-kernels` the blocked matmul kernels reassociate
-//! the k-sum, so traces legitimately differ from the scalar goldens in
-//! the low bits. The goldens stay pinned to the deterministic scalar
-//! path; these file comparisons are compiled out in that mode (numeric
-//! health there is covered by the tolerance parity suite in
-//! `crates/tensor/tests/kernel_parity.rs` and by the differential
-//! fuzzer's within-build checks, which hold in every mode).
-#![cfg(not(feature = "fast-kernels"))]
 
 use mg_verify::{
     check_against_file, goldens_dir, graph_cls_run, link_pred_run, node_cls_run,
