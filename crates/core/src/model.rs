@@ -229,13 +229,14 @@ impl AdamGnn {
         rng: &mut StdRng,
         frozen: Option<&FrozenStructure>,
     ) -> (AdamGnnOutput, FrozenStructure) {
-        // Recompute-on-backward for the big forward blocks. Every scope
-        // closes before any early stop, so no abort paths are needed;
+        // Recompute-on-backward for the big forward blocks, off unless a
+        // caller turns it on (see crate::overrides). Every scope closes
+        // before any early stop, so no abort paths are needed;
         // checkpointing never changes the values or gradients, only when
-        // interior buffers are resident (see crate::overrides). A frozen
-        // binding always scopes: its grad-free scopes free their
-        // interiors at close and never replay (see mg_tensor::checkpoint).
-        let ckpt = crate::overrides::ckpt_tape() || !bind.requires_grad(tape);
+        // interior buffers are resident. A frozen binding always scopes:
+        // its grad-free scopes free their interiors at close and never
+        // replay (see mg_tensor::checkpoint).
+        let ckpt = crate::overrides::ckpt_tape_or(false) || !bind.requires_grad(tape);
         // ---- primary node representation (Eq. 1) ----
         let mut h0 = self.gcn0.forward_features(tape, bind, ctx);
         if train && self.cfg.dropout > 0.0 {

@@ -352,7 +352,7 @@ impl Pooling for AdamGnnPooling {
         if egos.is_empty() {
             return None; // all-tied fitness: no strict local maximum
         }
-        let plan = build_s_plan(&topo, &pairs, &phi_data, self.cfg.lambda, &egos);
+        let plan = build_s_plan(&topo, &pairs, self.cfg.lambda, &egos);
         // pooling block: S_k assembly, hyper features, the level GCN
         // and the unpool chain. Only its three outputs stay resident.
         let pool_scope = ckpt.then(|| tape.begin_checkpoint());

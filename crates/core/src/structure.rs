@@ -90,13 +90,7 @@ pub fn select_egos(topo: &Topology, phi: &[f64]) -> Vec<usize> {
 /// belong to several selected ego-networks (overlap is intentional,
 /// Section 3.2). Retained nodes are those covered by no selected
 /// ego-network.
-pub fn build_s_plan(
-    topo: &Topology,
-    pairs: &EgoPairs,
-    phi_pair: &[f64],
-    lambda: usize,
-    egos: &[usize],
-) -> SPlan {
+pub fn build_s_plan(topo: &Topology, pairs: &EgoPairs, lambda: usize, egos: &[usize]) -> SPlan {
     let n = topo.n();
     // pair index lookup: (member, ego) -> pair position
     let mut pair_idx: std::collections::HashMap<(usize, usize), usize> =
@@ -104,7 +98,6 @@ pub fn build_s_plan(
     for (k, (&j, &i)) in pairs.src.iter().zip(pairs.dst.iter()).enumerate() {
         pair_idx.insert((j, i), k);
     }
-    let _ = phi_pair;
 
     let mut covered = vec![false; n];
     let mut entries: Vec<(u32, u32)> = Vec::new();
@@ -247,9 +240,7 @@ mod tests {
     fn s_plan_covers_every_node_exactly_when_expected() {
         let topo = path5();
         let pairs = EgoPairs::build(&topo, 1);
-        let phi: Vec<f64> = (0..pairs.len()).map(|k| 0.1 + 0.01 * k as f64).collect();
-        let egos = vec![2usize];
-        let plan = build_s_plan(&topo, &pairs, &phi, 1, &egos);
+        let plan = build_s_plan(&topo, &pairs, 1, &[2]);
         // ego 2 covers {1, 2, 3}; nodes 0 and 4 are retained
         assert_eq!(plan.m(), 3);
         assert_eq!(plan.num_egos, 1);
@@ -267,8 +258,7 @@ mod tests {
     fn s_plan_ego_diag_is_one_members_are_pairs() {
         let topo = path5();
         let pairs = EgoPairs::build(&topo, 1);
-        let phi = vec![0.5; pairs.len()];
-        let plan = build_s_plan(&topo, &pairs, &phi, 1, &[1]);
+        let plan = build_s_plan(&topo, &pairs, 1, &[1]);
         for (r, c, k) in plan.csr.iter() {
             match plan.sources[k] {
                 ValueSource::One => assert!(r == 1 && c == 0 || c > 0),
@@ -286,8 +276,7 @@ mod tests {
         // triangle + pendant: select both 0 and 2 as egos (overlap at 1)
         let topo = Topology::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let pairs = EgoPairs::build(&topo, 1);
-        let phi = vec![0.5; pairs.len()];
-        let plan = build_s_plan(&topo, &pairs, &phi, 1, &[0, 2]);
+        let plan = build_s_plan(&topo, &pairs, 1, &[0, 2]);
         // node 1 belongs to both ego columns
         assert_eq!(plan.csr.row_indices(1).len(), 2);
         assert_eq!(plan.m(), 2); // no retained nodes

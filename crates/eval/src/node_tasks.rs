@@ -12,8 +12,8 @@ use crate::models::{AnyNodeModel, NodeModelKind};
 use crate::session::{RunOutcome, SessionKind};
 use crate::telemetry::LossTerms;
 use crate::trainer::{train, CkptHooks, Job, Step, StepResult, Task};
+use adamgnn_core::{ckpt_tape_or, with_ckpt_tape, LossWeights, PoolingKind};
 use adamgnn_core::{kl_loss, reconstruction_loss, total_loss, AdamGnnOutput, FrozenStructure};
-use adamgnn_core::{LossWeights, PoolingKind};
 use mg_ckpt::CkptMeta;
 use mg_data::{LinkSplit, NodeDataset, Split};
 use mg_graph::Topology;
@@ -240,7 +240,12 @@ impl FullGraph {
     }
 }
 
-/// Full-batch training: one step per epoch on the whole graph.
+/// Full-batch training: one step per epoch on the whole graph. Its
+/// training forward checkpoints its tape unless [`with_ckpt_tape`] says
+/// otherwise: on a whole graph the per-pair and per-level values that
+/// the scopes drop are most of the step's peak memory, and replaying
+/// them costs little next to the step. The gradients are bitwise the
+/// same either way.
 struct Whole<'a> {
     model: AnyNodeModel,
     weights: LossWeights,
@@ -252,7 +257,9 @@ struct Whole<'a> {
 impl Task for Whole<'_> {
     fn step(&mut self, _: usize, tape: &Tape, bind: &Binding, rng: &mut StdRng) -> StepResult {
         let (ctx, g, w) = (&self.eval.ctx, self.graph, &self.weights);
-        let out = self.model.forward(tape, bind, ctx, true, rng);
+        let out = with_ckpt_tape(ckpt_tape_or(true), || {
+            self.model.forward(tape, bind, ctx, true, rng)
+        });
         Ok(match &self.eval.goal {
             Goal::Classes { train, .. } => {
                 let (labels, train) = (self.eval.labels.clone(), train.clone());

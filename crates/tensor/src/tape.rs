@@ -326,6 +326,9 @@ pub struct Tape {
     pub(crate) corrupt_replay: Cell<Option<usize>>,
     /// Set by the first backward sweep, which releases what it passes.
     pub(crate) swept: Cell<bool>,
+    /// Dropped values backward has rebuilt by replay, and their bytes.
+    pub(crate) replayed_nodes: Cell<usize>,
+    pub(crate) replayed_bytes: Cell<usize>,
 }
 
 impl Tape {
@@ -404,6 +407,17 @@ impl Tape {
     /// retaining tape, where backward only frees, it is the forward's.
     pub fn peak_tape_bytes(&self) -> usize {
         self.peak_bytes.get()
+    }
+
+    /// Checkpointed values backward has recomputed so far: each replay of
+    /// a dropped node counts once (0 on a retaining tape).
+    pub fn replayed_nodes(&self) -> usize {
+        self.replayed_nodes.get()
+    }
+
+    /// Bytes of the values counted by [`Tape::replayed_nodes`].
+    pub fn replayed_bytes(&self) -> usize {
+        self.replayed_bytes.get()
     }
 
     /// Reset the high-water mark to the current live size (e.g. between

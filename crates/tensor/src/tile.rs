@@ -29,7 +29,9 @@
 //! not enabled, and LLVM never fuses without fast-math flags) nor
 //! reorders floating-point adds. Each lane therefore rounds the same
 //! operations in the same order as the scalar loop: the ISA changes
-//! scheduling, not results.
+//! scheduling, not results. `matmul_tn` takes its tiles only under AVX2:
+//! their baseline compilation ran slower than its scalar k-outer loop,
+//! which it runs there instead.
 
 use std::ops::Range;
 

@@ -73,7 +73,7 @@ proptest! {
         let ego_phi = ego_fitness(&pairs, &phi, g.n());
         let egos = select_egos(&g, &ego_phi);
         prop_assume!(!egos.is_empty());
-        let plan = build_s_plan(&g, &pairs, &phi, 1, &egos);
+        let plan = build_s_plan(&g, &pairs, 1, &egos);
         for r in 0..g.n() {
             prop_assert!(!plan.csr.row_indices(r).is_empty(), "node {r} dropped");
         }
@@ -97,7 +97,7 @@ proptest! {
         let ego_phi = ego_fitness(&pairs, &phi, g.n());
         let egos = select_egos(&g, &ego_phi);
         prop_assume!(!egos.is_empty());
-        let plan = build_s_plan(&g, &pairs, &phi, 1, &egos);
+        let plan = build_s_plan(&g, &pairs, 1, &egos);
         let mut per_col = vec![0usize; plan.m()];
         for (_, c, _) in plan.csr.iter() {
             per_col[c] += 1;

@@ -8,8 +8,10 @@
 //! tape (say, Eq. 2's linearity term gathering `h` twice again), a
 //! matmul kept beside its activation, or a dead product left in the
 //! forward changes these numbers and fails here rather than passing
-//! unseen. When a change moves them on purpose, update the constants
-//! and say why in the change description.
+//! unseen. The checkpointed step is pinned the same way, with the work
+//! its backward recomputes (`Tape::replayed_nodes`, `replayed_bytes`).
+//! When a change moves them on purpose, update the constants and say
+//! why in the change description.
 //!
 //! The tape's lifetime is gated here too: backward releases every forward
 //! value it sweeps past, so after it only the leaves' bytes are live, on
@@ -27,6 +29,12 @@ use mg_tensor::{Matrix, ParamStore, Tape};
 const PEAK_TAPE_BYTES: usize = 31_200;
 /// Nodes the step records on the tape.
 const TAPE_OPS: usize = 103;
+/// Checkpointed `peak_tape_bytes` of the same step.
+const CKPT_PEAK_TAPE_BYTES: usize = 21_920;
+/// Dropped values the checkpointed step's backward replays, and their
+/// bytes: each checkpointed value is rebuilt once.
+const REPLAYED_NODES: usize = 63;
+const REPLAYED_BYTES: usize = 12_072;
 /// Live tape bytes once backward has swept the step: exactly its leaves
 /// (the parameters and the constants the forward and losses record).
 const LEAF_BYTES: usize = 12_776;
@@ -38,6 +46,8 @@ struct StepCounters {
     levels: usize,
     /// `live_tape_bytes` after backward.
     live_after: usize,
+    /// `(replayed_nodes, replayed_bytes)` after backward.
+    replayed: (usize, usize),
     /// Every parameter's gradient, in registration order.
     grads: Vec<Option<Matrix>>,
     /// Bytes of the parameters alone.
@@ -68,6 +78,7 @@ fn step_counters(ckpt: bool) -> StepCounters {
         ops: tape.len(),
         levels: out.levels.len(),
         live_after: tape.live_tape_bytes(),
+        replayed: (tape.replayed_nodes(), tape.replayed_bytes()),
         grads: store
             .param_ids()
             .into_iter()
@@ -85,6 +96,19 @@ fn training_step_tape_counters_are_pinned() {
         (c.peak, c.ops),
         (PEAK_TAPE_BYTES, TAPE_OPS),
         "retained (peak_tape_bytes, tape ops) moved"
+    );
+    assert_eq!(c.replayed, (0, 0), "a retaining tape replays nothing");
+}
+
+/// The checkpointed step's peak and the work its backward recomputes.
+#[test]
+fn checkpointed_step_counters_are_pinned() {
+    let c = step_counters(true);
+    assert_eq!(c.ops, TAPE_OPS, "checkpointing records the same ops");
+    assert_eq!(
+        (c.peak, c.replayed.0, c.replayed.1),
+        (CKPT_PEAK_TAPE_BYTES, REPLAYED_NODES, REPLAYED_BYTES),
+        "checkpointed (peak_tape_bytes, replayed nodes, replayed bytes) moved"
     );
 }
 
